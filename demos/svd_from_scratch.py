@@ -1,7 +1,9 @@
-"""Tour of the one-sided Jacobi SVD that powers the rank penalty.
+"""Tour of the SVD that powers the rank penalty.
 
-Decomposes a random matrix, checks the factorization properties, and
-cross-checks the singular values against eigenvalues of the Gram matrix.
+``lddg.linalg.svd`` is LAPACK's thin SVD with a fixed sign convention.  This
+demo decomposes a random matrix, checks the factorization properties, and
+cross-checks the singular values against an independent oracle: the
+eigenvalues of the Gram matrix.
 """
 
 import numpy as np

@@ -4,7 +4,7 @@ The package trains a small variational encoder-classifier on several source
 domains while penalizing the (C+1)-th singular value of each latent batch,
 and ships numerical verifiers for the two generalization bounds that
 motivate the construction.  Everything runs on numpy alone; the SVD at the
-heart of the rank penalty is implemented here from scratch.
+heart of the rank penalty is LAPACK's, with a fixed sign convention.
 """
 
 from .data import (
@@ -23,7 +23,7 @@ from .experiments import (
     sweep_rank,
     train,
 )
-from .linalg import SvdResult, finite_diff_grad, outer, svd
+from .linalg import SvdResult, finite_diff_grad, svd
 from .losses import LossConfig, cross_entropy_softmax, focal_alternate, log_sum_exp
 from .model import (
     ForwardTrace,

@@ -175,10 +175,8 @@ ABLATION_CELLS = (
 
 
 def _run_cell(cfg: TrainConfig, sources, target):
-    params, result = train(cfg, sources)
-    report = evaluate(params, target)
-    result.target_accuracy = report.accuracy
-    return report.accuracy
+    params, _ = train(cfg, sources)
+    return evaluate(params, target).accuracy
 
 
 def ablate_components(

@@ -9,7 +9,8 @@ explicitly, layer by layer; tests check it against central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -81,6 +82,14 @@ class ModelParams:
         return out
 
 
+# annotation (as a string, see the __future__ import) -> accepted types
+_NUMERIC_FIELD_TYPES = {
+    "int": Integral,
+    "float": Real,
+    "int | None": (Integral, type(None)),
+}
+
+
 @dataclass
 class TrainConfig:
     """Optimization and regularization settings.
@@ -113,6 +122,13 @@ class TrainConfig:
     log_singular_values: bool = False
 
     def __post_init__(self):
+        for f in fields(self):
+            kind = _NUMERIC_FIELD_TYPES.get(f.type)
+            value = getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.rank_mode not in ("per_batch", "per_class"):
             raise ValueError(f"unknown rank_mode {self.rank_mode!r}")
         if self.regularizer not in ("rank", "nuclear"):
@@ -188,9 +204,10 @@ def _activate_grad(pre, kind):
 def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     """Run the network on a batch.
 
-    ``noise`` is the reparameterization draw, shaped like the posterior;
-    None (or anything all-zero) evaluates at the posterior mean, which is
-    the deterministic mode used for accuracy measurements.
+    ``noise`` is the reparameterization draw and must have the posterior's
+    shape (any other shape raises ``ValueError``); None (or anything
+    all-zero) evaluates at the posterior mean, which is the deterministic
+    mode used for accuracy measurements.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2:
@@ -208,10 +225,7 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     mu = head_act @ params.head_mu.weight.T + params.head_mu.bias
     log_var_raw = head_act @ params.head_log_var.weight.T + params.head_log_var.bias
     posterior = GaussianPosterior(mu=mu, log_var=log_var_raw.copy())
-    if noise is None:
-        eps = np.zeros_like(mu)
-    else:
-        eps = np.zeros_like(mu) + np.asarray(noise, dtype=np.float64)
+    eps = np.zeros_like(mu) if noise is None else np.asarray(noise, dtype=np.float64)
     z = reparameterize(posterior, eps)
     logits = z @ params.classifier.weight.T + params.classifier.bias
     return ForwardTrace(

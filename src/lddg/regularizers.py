@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, outer, svd
+from .linalg import as_matrix, svd
 
 __all__ = [
     "GaussianPosterior",
@@ -83,7 +83,7 @@ def rank_loss(z, num_classes: int) -> RankLossResult:
         return RankLossResult(value=0.0, subgradient=np.zeros_like(zm))
     res = svd(zm)
     value = float(res.sigma[num_classes])
-    sub = outer(res.u[:, num_classes], res.v[:, num_classes])
+    sub = np.outer(res.u[:, num_classes], res.v[:, num_classes])
     return RankLossResult(value=value, subgradient=sub)
 
 

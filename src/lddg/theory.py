@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import svd
-from .losses import cross_entropy_softmax
 from .regularizers import GaussianPosterior
 
 __all__ = [

@@ -141,6 +141,24 @@ class TestTrain:
         lines = [json.loads(ln) for ln in metrics.read_text().splitlines()]
         assert sum(ln["kind"] == "epoch" for ln in lines) == 1
 
+    def test_zero_epochs_is_rejected(self, workspace, capsys):
+        rc = main([
+            "train", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]), "--epochs", "0",
+        ])
+        assert rc == 1
+        assert "epochs must be >= 1" in capsys.readouterr().err
+
+    def test_non_numeric_config_value_names_the_key(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {**TINY_TRAIN, "lambda1": "0.1"}}))
+        rc = main([
+            "train", "--config", str(config),
+            "--sources", str(workspace["sources"]),
+        ])
+        assert rc == 1
+        assert "lambda1" in capsys.readouterr().err
+
     def test_missing_sources_file(self, workspace, capsys):
         rc = main([
             "train", "--config", str(workspace["config"]),

@@ -1,9 +1,9 @@
-"""Tests for the hand-rolled Jacobi SVD and the small matrix helpers."""
+"""Tests for the thin SVD and the finite-difference helper."""
 
 import numpy as np
 import pytest
 
-from lddg.linalg import SvdResult, finite_diff_grad, outer, svd
+from lddg.linalg import SvdResult, finite_diff_grad, svd
 
 
 def gram_singular_values(z):
@@ -32,8 +32,12 @@ def test_gram_oracle_6x4():
     np.testing.assert_allclose(res.sigma, gram_singular_values(z), atol=1e-8)
 
 
+# The last three shapes are the ones training uses: a default mini-batch
+# step's 48x16 latent batch, a full-batch step's 600x16, and a wide 16x48.
 @pytest.mark.parametrize(
-    "shape", [(3, 3), (6, 4), (4, 6), (32, 16), (16, 32), (1, 5), (5, 1), (2, 2)]
+    "shape",
+    [(3, 3), (6, 4), (4, 6), (32, 16), (16, 32), (1, 5), (5, 1), (2, 2),
+     (48, 16), (600, 16), (16, 48)],
 )
 def test_reconstruction_and_orthonormality(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
@@ -52,6 +56,13 @@ def test_reconstruction_and_orthonormality(shape):
     # descending, non-negative
     assert np.all(res.sigma[:-1] >= res.sigma[1:] - 1e-15)
     assert np.all(res.sigma >= 0.0)
+    np.testing.assert_allclose(res.sigma, gram_singular_values(z), atol=1e-8)
+    pivots = np.argmax(np.abs(res.u), axis=0)
+    assert np.all(res.u[pivots, np.arange(r)] >= 0.0)
+    again = svd(z)
+    assert np.array_equal(res.u, again.u)
+    assert np.array_equal(res.sigma, again.sigma)
+    assert np.array_equal(res.v, again.v)
 
 
 def test_seeded_shapes_match_gram_oracle():
@@ -77,8 +88,8 @@ def test_rank_deficient_matrix():
 
 
 def test_deep_rank_deficiency_keeps_u_orthonormal():
-    # Near-square matrices with many null directions exercise the basis
-    # completion for the zero-sigma columns of u.
+    # Near-square matrices with many null directions: the zero-sigma columns
+    # of u must still be orthonormal.
     rng = np.random.default_rng(14)
     for _ in range(20):
         n = int(rng.integers(6, 17))
@@ -132,18 +143,6 @@ def test_input_validation():
 def test_result_type():
     res = svd(np.eye(2))
     assert isinstance(res, SvdResult)
-
-
-def test_outer_examples():
-    np.testing.assert_array_equal(
-        outer([1.0, 2.0], [3.0, 4.0]), [[3.0, 4.0], [6.0, 8.0]]
-    )
-    z = outer(np.zeros(3), np.ones(2))
-    np.testing.assert_array_equal(z, np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        outer(np.eye(2), np.ones(2))
-    with pytest.raises(ValueError):
-        outer([np.nan], [1.0])
 
 
 def test_finite_diff_grad_quadratic():

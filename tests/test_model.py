@@ -72,6 +72,11 @@ class TestInitAndForward:
         np.testing.assert_array_equal(t0.z, t0.posterior.mu)
         np.testing.assert_array_equal(t0.logits, t1.logits)
 
+    def test_noise_of_another_shape_is_rejected(self):
+        params, x, _, _ = small_setup()
+        with pytest.raises(ValueError, match="noise shape"):
+            forward(params, x, np.ones(SMALL.latent_dim))
+
     def test_logits_are_affine_in_latent(self):
         params, x, _, noise = small_setup()
         trace = forward(params, x, noise)
@@ -325,6 +330,18 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(rank_target=0)
+
+    def test_rejects_epochs_below_one(self):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lambda1", "0.1"), ("epochs", 2.5), ("seed", True), ("rank_target", "3")],
+    )
+    def test_rejects_values_of_the_wrong_type(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
 
     def test_loss_dict_is_coerced(self):
         cfg = TrainConfig(loss={"kind": "focal", "gamma": 3.0, "beta": 0.5})

@@ -46,6 +46,17 @@ class TestRankLoss:
                 np.linalg.norm(res.subgradient), 1.0, atol=1e-10
             )
 
+    def test_subgradient_is_the_returned_pair_at_training_shape(self):
+        # A default training step's latent batch: 48 rows, 16 dims, 4 classes.
+        z = np.random.default_rng(3).standard_normal((48, 16))
+        res = rank_loss(z, num_classes=4)
+        factors = svd(z)
+        assert res.value == factors.sigma[4]
+        np.testing.assert_array_equal(
+            res.subgradient, np.outer(factors.u[:, 4], factors.v[:, 4])
+        )
+        np.testing.assert_allclose(np.linalg.norm(res.subgradient), 1.0, atol=1e-12)
+
     def test_subgradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
