@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import check_field_types
+
 __all__ = [
     "SyntheticConfig",
     "DomainDataset",
@@ -77,6 +79,9 @@ class SyntheticConfig:
     mixing_angle_deg: float = 55.0
     offset_scale: float = 0.3
     seed: int = 0
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass

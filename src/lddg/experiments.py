@@ -58,11 +58,15 @@ class EpochRecord:
 
 @dataclass
 class RunResult:
-    """Everything observable about one training run."""
+    """Everything observable about one training run.
+
+    ``train`` leaves both accuracies unset; a caller that wants them fills
+    them in with ``evaluate`` (the studies only need the target's).
+    """
 
     config: dict
     epochs: list
-    source_accuracy: list
+    source_accuracy: list | None = None
     target_accuracy: float | None = None
     wall_time_s: float = 0.0
 
@@ -80,7 +84,9 @@ def train(cfg: TrainConfig, sources: DomainDataset):
 
     Per epoch the learning rate is ``learning_rate / lr_decay_factor **
     (epoch // lr_decay_every)``.  A non-finite loss aborts immediately with
-    the epoch and batch named, rather than letting Adam ride a NaN.
+    the epoch and batch named, rather than letting Adam ride a NaN.  The
+    returned params are views of the run's Adam vector.  Nothing is scored:
+    the result's accuracies stay None.
     """
     t0 = time.perf_counter()
     rng_init = np.random.default_rng([cfg.seed, _STREAM_INIT])
@@ -125,18 +131,30 @@ def train(cfg: TrainConfig, sources: DomainDataset):
             ]
         records.append(record)
 
-    report = evaluate(params, sources)
     result = RunResult(
         config=asdict(cfg),
         epochs=records,
-        source_accuracy=report.per_domain,
         wall_time_s=time.perf_counter() - t0,
     )
     return params, result
 
 
 def evaluate(params: ModelParams, ds: DomainDataset) -> EvalReport:
-    """Accuracy at the posterior mean (zero noise); argmax ties -> lowest index."""
+    """Accuracy at the posterior mean (zero noise); argmax ties -> lowest index.
+
+    Raises ``ValueError`` when the dataset's feature width is not the
+    model's input width, or it has more classes than the model scores.
+    """
+    in_dim = params.layers()[0].weight.shape[1]
+    if in_dim != ds.feature_dim:
+        raise ValueError(
+            f"model expects {in_dim}-dim inputs but dataset has feature_dim={ds.feature_dim}"
+        )
+    n_cls = params.classifier.weight.shape[0]
+    if ds.num_classes > n_cls:
+        raise ValueError(
+            f"dataset has {ds.num_classes} classes but model scores only {n_cls}"
+        )
     trace = forward(params, ds.features, None)
     pred = np.argmax(trace.logits, axis=1)
     correct = pred == ds.labels

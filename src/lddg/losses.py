@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import check_field_types
+
 __all__ = [
     "LossConfig",
     "log_sum_exp",
@@ -34,6 +36,7 @@ class LossConfig:
     beta: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in ("cross_entropy", "focal"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.gamma <= 0.0:

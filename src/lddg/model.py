@@ -9,11 +9,11 @@ explicitly, layer by layer; tests check it against central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fields import check_field_types
 from .losses import LossConfig, batch_mean
 from .regularizers import (
     LOG_VAR_MAX,
@@ -82,14 +82,6 @@ class ModelParams:
         return out
 
 
-# annotation (as a string, see the __future__ import) -> accepted types
-_NUMERIC_FIELD_TYPES = {
-    "int": Integral,
-    "float": Real,
-    "int | None": (Integral, type(None)),
-}
-
-
 @dataclass
 class TrainConfig:
     """Optimization and regularization settings.
@@ -122,11 +114,7 @@ class TrainConfig:
     log_singular_values: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            kind = _NUMERIC_FIELD_TYPES.get(f.type)
-            value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        check_field_types(self)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.rank_mode not in ("per_batch", "per_class"):
@@ -146,8 +134,30 @@ class TrainConfig:
 
 
 @dataclass
+class _LossGrads:
+    """Gradients of the three loss terms w.r.t. the logits, z and the posterior.
+
+    Unweighted (backward applies lambda1 and lambda2); valid only for the
+    ``labels`` and ``cfg`` objects they were computed with.
+    """
+
+    labels: np.ndarray
+    cfg: TrainConfig
+    d_logits: np.ndarray
+    rank_sub: np.ndarray
+    kl_mu: np.ndarray
+    kl_log_var: np.ndarray
+
+
+@dataclass
 class ForwardTrace:
-    """Everything the backward pass needs from one forward evaluation."""
+    """Everything the backward pass needs from one forward evaluation.
+
+    ``loss_grads`` is filled by ``total_loss`` with the loss-side gradients
+    it computes anyway (CE's, the penalty's subgradient and KL's), so that
+    ``backward`` need not run ``batch_mean``, the penalty's SVD or
+    ``kl_standard_normal`` again.
+    """
 
     x: np.ndarray
     encoder_pre: list
@@ -159,7 +169,7 @@ class ForwardTrace:
     noise: np.ndarray
     z: np.ndarray
     logits: np.ndarray
-    rank: RankLossResult | None = None  # cached by total_loss for backward
+    loss_grads: _LossGrads | None = None
 
 
 def init_params(
@@ -189,7 +199,7 @@ def _activate(pre, kind):
     if kind == "relu":
         return np.maximum(pre, 0.0)
     if kind == "leaky_relu":
-        return np.where(pre > 0.0, pre, _LEAKY_SLOPE * pre)
+        return np.maximum(pre, _LEAKY_SLOPE * pre)
     return pre
 
 
@@ -197,7 +207,7 @@ def _activate_grad(pre, kind):
     if kind == "relu":
         return (pre > 0.0).astype(np.float64)
     if kind == "leaky_relu":
-        return np.where(pre > 0.0, 1.0, _LEAKY_SLOPE)
+        return (pre > 0.0) * (1.0 - _LEAKY_SLOPE) + _LEAKY_SLOPE
     return np.ones_like(pre)
 
 
@@ -262,23 +272,31 @@ def _rank_penalty(z, labels, num_classes: int, cfg: TrainConfig) -> RankLossResu
     return RankLossResult(value=total / n_present, subgradient=sub / n_present)
 
 
+def _loss_terms(trace: ForwardTrace, labels, cfg: TrainConfig):
+    """Values of the three loss terms; caches their gradients on the trace."""
+    num_classes = trace.logits.shape[1]
+    cls_value, d_logits = batch_mean(trace.logits, labels, cfg.loss)
+    rank_res = _rank_penalty(trace.z, labels, num_classes, cfg)
+    kl_value, kl_mu, kl_log_var = kl_standard_normal(trace.posterior)
+    trace.loss_grads = _LossGrads(
+        labels, cfg, d_logits, rank_res.subgradient, kl_mu, kl_log_var
+    )
+    return cls_value, rank_res.value, kl_value
+
+
 def total_loss(trace: ForwardTrace, labels, cfg: TrainConfig):
     """Scalar objective and its additive parts.
 
     Returns ``(value, parts)`` with parts keyed 'cls', 'rank', 'kl',
     'total'; the total is exactly ``cls + lambda1 * rank + lambda2 * kl``
-    as floats.  The rank result is cached on the trace so backward can
-    reuse the same SVD.
+    as floats.  The gradients of the three terms are cached on the trace,
+    so backward reuses them instead of recomputing CE, the SVD and KL.
     """
     labels = np.asarray(labels)
-    num_classes = trace.logits.shape[1]
-    cls_value, _ = batch_mean(trace.logits, labels, cfg.loss)
-    rank_res = _rank_penalty(trace.z, labels, num_classes, cfg)
-    trace.rank = rank_res
-    kl_value, _, _ = kl_standard_normal(trace.posterior)
+    cls_value, rank_value, kl_value = _loss_terms(trace, labels, cfg)
     parts = {
         "cls": cls_value,
-        "rank": rank_res.value,
+        "rank": rank_value,
         "kl": kl_value,
     }
     parts["total"] = (
@@ -290,29 +308,27 @@ def total_loss(trace: ForwardTrace, labels, cfg: TrainConfig):
 def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig):
     """Gradient of total_loss w.r.t. every parameter.
 
-    Returns a ModelParams whose arrays are the gradients.  Uses the rank
-    subgradient cached on the trace when present (computing it otherwise),
-    so call total_loss first to share the SVD.
+    Returns a ModelParams whose arrays are the gradients.  Backpropagates
+    the loss-side gradients that total_loss cached on the trace for the
+    same ``labels`` and ``cfg`` objects, and computes them itself when
+    there are none, so call total_loss first to compute each loss term once.
     """
     labels = np.asarray(labels)
-    num_classes = trace.logits.shape[1]
-
-    _, d_logits = batch_mean(trace.logits, labels, cfg.loss)
-
-    rank_res = trace.rank
-    if rank_res is None:
-        rank_res = _rank_penalty(trace.z, labels, num_classes, cfg)
+    lg = trace.loss_grads
+    if lg is None or lg.labels is not labels or lg.cfg is not cfg:
+        _loss_terms(trace, labels, cfg)
+        lg = trace.loss_grads
+    d_logits = lg.d_logits
 
     # classifier
     g_cls_w = d_logits.T @ trace.z
     g_cls_b = np.sum(d_logits, axis=0)
     d_z = d_logits @ params.classifier.weight
-    d_z = d_z + cfg.lambda1 * rank_res.subgradient
+    d_z = d_z + cfg.lambda1 * lg.rank_sub
 
-    _, kl_mu, kl_lv = kl_standard_normal(trace.posterior)
-    d_mu = d_z + cfg.lambda2 * kl_mu
+    d_mu = d_z + cfg.lambda2 * lg.kl_mu
     std = np.exp(0.5 * trace.posterior.log_var)
-    d_lv = d_z * trace.noise * 0.5 * std + cfg.lambda2 * kl_lv
+    d_lv = d_z * trace.noise * 0.5 * std + cfg.lambda2 * lg.kl_log_var
     # the posterior clamps log_var; outside the clamp range the raw head
     # output has no effect, so its gradient is zero there
     clamp_ok = (trace.log_var_raw > LOG_VAR_MIN) & (trace.log_var_raw < LOG_VAR_MAX)
@@ -354,18 +370,41 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """Adam's moments and step count over one flat parameter vector.
 
-    m: list
-    v: list
+    ``for_params`` copies every weight matrix and then every bias into
+    ``vector`` and rebinds each layer's ``weight`` and ``bias`` to views of
+    it, so an update is a few whole-vector operations that the layers see
+    without a copy.  ``m`` and ``v`` share the layout; the first
+    ``n_weights`` entries are the weights.  ``views`` holds the arrays in
+    ``ModelParams.flat`` order, to tell that ``adam_step`` got these params.
+    """
+
+    vector: np.ndarray
+    n_weights: int
+    views: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        flat = params.flat()
+        """State for ``params``, whose arrays become views of its vector."""
+        layers = params.layers()
+        arrays = [layer.weight for layer in layers] + [layer.bias for layer in layers]
+        vector = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+        offset = 0
+        for attr in ("weight", "bias"):
+            for layer in layers:
+                a = getattr(layer, attr)
+                setattr(layer, attr, vector[offset : offset + a.size].reshape(a.shape))
+                offset += a.size
         return cls(
-            m=[np.zeros_like(a) for a in flat],
-            v=[np.zeros_like(a) for a in flat],
+            vector=vector,
+            n_weights=sum(layer.weight.size for layer in layers),
+            views=params.flat(),
+            m=np.zeros_like(vector),
+            v=np.zeros_like(vector),
         )
 
 
@@ -382,20 +421,39 @@ def adam_step(
     """One Adam update in place, with decoupled weight decay.
 
     Weight decay multiplies weight matrices by ``(1 - lr * weight_decay)``
-    outside the moment accumulators; biases are never decayed.
+    outside the moment accumulators; biases are never decayed.  ``params``
+    must be the ModelParams ``state`` was built for: arrays not backed by
+    its vector raise ``ValueError`` rather than miss the update.
     """
+    flat = params.flat()
+    if len(flat) != len(state.views) or any(
+        a is not b for a, b in zip(flat, state.views)
+    ):
+        raise ValueError(
+            "adam_step: params are not backed by this AdamState's vector; "
+            "build the state with AdamState.for_params(params)"
+        )
+    layers = grads.layers()
+    g = np.concatenate(
+        [layer.weight.ravel() for layer in layers] + [layer.bias.ravel() for layer in layers]
+    )
     state.t += 1
     t = state.t
-    flat_p = params.flat()
-    flat_g = grads.flat()
-    for i, (p, g) in enumerate(zip(flat_p, flat_g)):
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * (g * g)
-        m_hat = state.m[i] / (1.0 - beta1**t)
-        v_hat = state.v[i] / (1.0 - beta2**t)
-        if weight_decay and p.ndim == 2:
-            p *= 1.0 - lr * weight_decay
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v, p = state.m, state.v, state.vector
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    if weight_decay:
+        p[: state.n_weights] *= 1.0 - lr * weight_decay
+    # p -= lr * m_hat / (sqrt(v_hat) + eps), in place, in that order
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += eps
+    m_hat *= lr
+    m_hat /= v_hat
+    p -= m_hat
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +527,30 @@ def load_checkpoint(path) -> ModelParams:
         )
     if n_layers < 5:
         raise ValueError(f"{path}: checkpoint needs >= 5 layers, found {n_layers}")
-    return ModelParams(
+    params = ModelParams(
         encoder=layers[:-4],
         head_hidden=layers[-4],
         head_mu=layers[-3],
         head_log_var=layers[-2],
         classifier=layers[-1],
     )
+    _check_layer_chain(path, params)
+    return params
+
+
+def _check_layer_chain(path, params: ModelParams):
+    """Every layer's input width must be the output width that feeds it."""
+    chain = [(f"encoder[{i}]", layer) for i, layer in enumerate(params.encoder)]
+    chain += [("head_hidden", params.head_hidden), ("head_mu", params.head_mu),
+              ("classifier", params.classifier)]  # the classifier reads the latent
+    for (prev_name, prev), (name, layer) in zip(chain, chain[1:]):
+        out_dim, in_dim = prev.weight.shape[0], layer.weight.shape[1]
+        if in_dim != out_dim:
+            raise ValueError(
+                f"{path}: {name} takes {in_dim} inputs, but {prev_name} has {out_dim} outputs"
+            )
+    if params.head_log_var.weight.shape != params.head_mu.weight.shape:
+        raise ValueError(
+            f"{path}: head_log_var has shape {params.head_log_var.weight.shape}, "
+            f"head_mu {params.head_mu.weight.shape}; they must match"
+        )

@@ -93,6 +93,15 @@ class TestGenData:
                      "--out-sources", str(tmp_path / "s"),
                      "--out-target", str(tmp_path / "t")]) == 2
 
+    def test_non_numeric_config_value_names_the_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"synthetic": {**TINY_SYNTH, "num_classes": "3"}}))
+        rc = main(["gen-data", "--config", str(bad),
+                   "--out-sources", str(tmp_path / "s"),
+                   "--out-target", str(tmp_path / "t")])
+        assert rc == 1
+        assert "num_classes" in capsys.readouterr().err
+
     def test_invalid_json_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -124,10 +133,16 @@ class TestTrain:
                 atol=1e-12,
             )
         assert finals[0]["target_accuracy"] is not None
-        assert len(finals[0]["source_accuracy"]) == 2
         params = load_checkpoint(model)
         assert params.classifier.weight.shape == (2, 6)
+        # the library's train leaves source scoring to the CLI
+        sources = load_dataset(workspace["sources"])
+        source_accuracy = evaluate(params, sources).per_domain
+        assert len(source_accuracy) == sources.num_domains == 2
+        assert finals[0]["source_accuracy"] == source_accuracy
         out = capsys.readouterr().out
+        accs = " ".join(f"{a:.4f}" for a in source_accuracy)
+        assert f"source accuracy per domain: {accs}" in out
         assert "target accuracy" in out
 
     def test_flag_overrides_config_epochs(self, workspace, tmp_path):
@@ -158,6 +173,16 @@ class TestTrain:
         ])
         assert rc == 1
         assert "lambda1" in capsys.readouterr().err
+
+    def test_non_numeric_loss_value_names_the_key(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": TINY_TRAIN, "loss": {"gamma": "2"}}))
+        rc = main([
+            "train", "--config", str(config),
+            "--sources", str(workspace["sources"]),
+        ])
+        assert rc == 1
+        assert "gamma" in capsys.readouterr().err
 
     def test_missing_sources_file(self, workspace, capsys):
         rc = main([

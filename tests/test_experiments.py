@@ -5,6 +5,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import lddg.experiments
+import lddg.model
 from lddg.data import DomainDataset, SyntheticConfig, generate_synthetic
 from lddg.experiments import (
     ABLATION_CELLS,
@@ -52,7 +54,8 @@ class TestTrain:
         expected_lr = [lr0, lr0, lr0 / TINY_TRAIN.lr_decay_factor]
         np.testing.assert_allclose([r.lr for r in result.epochs], expected_lr)
         assert result.wall_time_s > 0.0
-        assert len(result.source_accuracy) == sources.num_domains
+        assert result.source_accuracy is None
+        assert result.target_accuracy is None
         assert result.config == asdict(TINY_TRAIN)
 
     def test_record_totals_decompose(self, tiny):
@@ -109,6 +112,46 @@ class TestTrain:
             train(replace(TINY_TRAIN, epochs=1), huge)
 
 
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestCallsPerStep:
+    def test_each_loss_term_runs_once_per_step(self, tiny, monkeypatch):
+        sources, _ = tiny
+        counts = {}
+        for name in ("batch_mean", "kl_standard_normal", "rank_loss"):
+            _count_calls(monkeypatch, lddg.model, name, counts)
+        _count_calls(monkeypatch, lddg.experiments, "adam_step", counts)
+        _count_calls(monkeypatch, lddg.experiments, "evaluate", counts)
+        train(TINY_TRAIN, sources)
+        steps = counts["adam_step"]
+        assert steps == TINY_TRAIN.epochs * 4  # 16 rows per domain, 4 per batch
+        assert counts["batch_mean"] == steps
+        assert counts["kl_standard_normal"] == steps
+        assert counts["rank_loss"] == steps
+        assert "evaluate" not in counts
+
+    def test_study_scores_each_member_once(self, tiny, monkeypatch):
+        sources, target = tiny
+        counts = {}
+        _count_calls(monkeypatch, lddg.experiments, "evaluate", counts)
+        ablate_components(
+            replace(TINY_TRAIN, epochs=1), sources, target, seeds=(0, 1),
+            cells=("none", "rank+kl"),
+        )
+        assert counts["evaluate"] == 4
+        counts.clear()
+        sweep_rank(replace(TINY_TRAIN, epochs=1), sources, target, ranks=(1, 2, 3), seeds=(0,))
+        assert counts["evaluate"] == 3
+
+
 class TestEvaluate:
     def test_matches_manual_forward_argmax(self, tiny):
         sources, target = tiny
@@ -133,6 +176,20 @@ class TestEvaluate:
                 report.per_domain[k], np.mean(correct[sources.domain_ids == k])
             )
         np.testing.assert_allclose(report.accuracy, np.mean(correct))
+
+
+    def test_rejects_a_dataset_the_model_does_not_fit(self, tiny):
+        sources, target = tiny
+        params, _ = train(TINY_TRAIN, sources)
+        wide = DomainDataset(
+            num_domains=1, num_classes=2, feature_dim=9,
+            features=np.zeros((1, 9)), labels=[0], domain_ids=[0],
+        )
+        with pytest.raises(ValueError, match="8-dim inputs.*feature_dim=9"):
+            evaluate(params, wide)
+        more_classes = replace(target, num_classes=3)
+        with pytest.raises(ValueError, match="3 classes.*only 2"):
+            evaluate(params, more_classes)
 
 
 class TestAblation:

@@ -9,10 +9,13 @@ import pytest
 from lddg.linalg import finite_diff_grad
 from lddg.losses import LossConfig, batch_mean
 from lddg.model import (
+    _LEAKY_SLOPE,
     AdamState,
     Layer,
     ModelParams,
     TrainConfig,
+    _activate,
+    _activate_grad,
     adam_step,
     backward,
     forward,
@@ -89,6 +92,25 @@ class TestInitAndForward:
             forward(params, np.zeros(6))
         with pytest.raises(ValueError):
             forward(params, np.full((2, 6), np.nan))
+
+
+class TestLeakyRelu:
+    def test_matches_the_np_where_form_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        pre = np.concatenate([
+            [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300],
+            rng.standard_normal(200) * 10.0,
+        ]).reshape(8, 26)
+        want = np.where(pre > 0.0, pre, _LEAKY_SLOPE * pre)
+        want_grad = np.where(pre > 0.0, 1.0, _LEAKY_SLOPE)
+        got = _activate(pre, "leaky_relu")
+        got_grad = _activate_grad(pre, "leaky_relu")
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_grad, want_grad)
+        # assert_array_equal treats -0.0 == 0.0; the signs must agree too
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_array_equal(np.signbit(got_grad), np.signbit(want_grad))
+        assert got.dtype == got_grad.dtype == np.float64
 
 
 class TestTotalLoss:
@@ -199,6 +221,23 @@ class TestBackward:
         for p_arr, g_arr in zip(params.flat(), grads.flat()):
             assert p_arr.shape == g_arr.shape
 
+    def test_cached_loss_gradients_follow_labels_and_config(self):
+        # the gradients total_loss caches are only reused for the labels and
+        # config objects they came from
+        params, x, labels, noise = small_setup(n=12)
+        other = TrainConfig(
+            lambda1=0.1, lambda2=0.3, latent_dim=5, encoder_dims=(8,),
+            head_hidden_dim=8, regularizer="nuclear",
+        )
+        flipped = (labels + 1) % 3
+        for cfg, y in ((other, labels), (SMALL, flipped)):
+            trace = forward(params, x, noise)
+            total_loss(trace, labels, SMALL)
+            stale = backward(params, trace, y, cfg)
+            fresh = backward(params, forward(params, x, noise), y, cfg)
+            for a, b in zip(stale.flat(), fresh.flat()):
+                np.testing.assert_array_equal(a, b)
+
     def test_clamped_log_var_gets_zero_gradient(self):
         params, x, labels, noise = small_setup()
         params.head_log_var.bias[:] = 40.0  # raw log-var far above the clamp
@@ -274,6 +313,32 @@ class TestAdam:
         )
 
 
+    def test_params_not_backed_by_the_state_are_rejected(self):
+        params, _, _, _ = small_setup()
+        state = AdamState.for_params(params)
+        grads = copy.deepcopy(params)
+        with pytest.raises(ValueError, match="not backed"):
+            adam_step(copy.deepcopy(params), grads, state, lr=0.1)
+        params.classifier.bias = params.classifier.bias.copy()
+        with pytest.raises(ValueError, match="not backed"):
+            adam_step(params, grads, state, lr=0.1)
+        assert state.t == 0
+
+    def test_layers_are_views_of_one_vector(self):
+        params, _, _, _ = small_setup()
+        before = [a.copy() for a in params.flat()]
+        state = AdamState.for_params(params)
+        for a, want in zip(params.flat(), before):
+            assert a.base is state.vector
+            np.testing.assert_array_equal(a, want)
+        n_w = sum(layer.weight.size for layer in params.layers())
+        assert state.n_weights == n_w
+        np.testing.assert_array_equal(
+            state.vector[:n_w],
+            np.concatenate([layer.weight.ravel() for layer in params.layers()]),
+        )
+
+
 class TestCheckpoint:
     def test_round_trip_is_exact(self, tmp_path):
         params, _, _, _ = small_setup(seed=8)
@@ -316,6 +381,25 @@ class TestCheckpoint:
         bad.write_bytes(blob)
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(bad)
+
+
+    @pytest.mark.parametrize(
+        "layer, shape, message",
+        [
+            ("head_hidden", (4, 16), "head_hidden takes 16 inputs, but encoder"),
+            ("head_log_var", (8, 5), "head_log_var has shape"),
+            ("classifier", (5, 3), "classifier takes 3 inputs"),
+        ],
+    )
+    def test_broken_layer_chain_rejected(self, tmp_path, layer, shape, message):
+        params, _, _, _ = small_setup()
+        bad = getattr(params, layer)
+        bad.weight = bad.weight.reshape(shape)
+        bad.bias = np.zeros(shape[0])
+        path = tmp_path / "chain.ckpt"
+        save_checkpoint(path, params)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
 
 
 class TestTrainConfig:
