@@ -24,7 +24,7 @@ from .experiments import (
     train,
 )
 from .linalg import SvdResult, finite_diff_grad, svd
-from .losses import LossConfig, cross_entropy_softmax, focal_alternate, log_sum_exp
+from .losses import cross_entropy_softmax
 from .model import (
     ForwardTrace,
     ModelParams,

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: gen-data, train, eval, verify, sweep-rank, ablate.  Every
-command accepts ``--config`` (a JSON file with sections ``synthetic``,
-``train``, ``loss``, ``outputs`` mirroring the corresponding dataclasses);
-explicit flags override config-file values, which override built-in
-defaults.  Unknown sections or keys are rejected rather than ignored.
+command but eval accepts ``--config``, a JSON file with up to three
+sections: ``synthetic`` and ``train`` mirror ``SyntheticConfig`` and
+``TrainConfig``, and ``outputs`` holds default paths under the keys
+sources, target, model, metrics, table and report.  Explicit flags override
+config-file values, which override built-in defaults.  Unknown sections or
+keys are rejected rather than ignored.
 
 Exit codes: 0 on success, 1 when a command's contract fails (unreadable or
 malformed data, non-finite loss, a bound trial violated, ...), 2 for usage
@@ -27,7 +29,6 @@ from .experiments import (
     sweep_rank,
     train,
 )
-from .losses import LossConfig
 from .model import TrainConfig, load_checkpoint, save_checkpoint
 from .theory import (
     make_mixture_kl_trial,
@@ -49,8 +50,6 @@ def _allowed_keys(section: str):
         return {f.name for f in dataclasses.fields(SyntheticConfig)}
     if section == "train":
         return {f.name for f in dataclasses.fields(TrainConfig)}
-    if section == "loss":
-        return {f.name for f in dataclasses.fields(LossConfig)}
     if section == "outputs":
         return _OUTPUT_KEYS
     return None
@@ -96,8 +95,6 @@ def _synthetic_config(raw, args) -> SyntheticConfig:
 
 def _train_config(raw, args) -> TrainConfig:
     kwargs = dict(raw.get("train", {}))
-    if "loss" not in kwargs and "loss" in raw:
-        kwargs["loss"] = dict(raw["loss"])
     if "encoder_dims" in kwargs:
         kwargs["encoder_dims"] = tuple(kwargs["encoder_dims"])
     cfg = TrainConfig(**kwargs)
@@ -111,7 +108,6 @@ def _train_config(raw, args) -> TrainConfig:
         ("weight_decay", "weight_decay"),
         ("batch_per_domain", "batch_per_domain"),
         ("rank_target", "rank_target"),
-        ("rank_mode", "rank_mode"),
         ("regularizer", "regularizer"),
     ):
         value = getattr(args, flag, None)
@@ -119,8 +115,6 @@ def _train_config(raw, args) -> TrainConfig:
             overrides[field_name] = value
     if getattr(args, "log_singular_values", False):
         overrides["log_singular_values"] = True
-    if getattr(args, "loss_kind", None) is not None:
-        overrides["loss"] = dataclasses.replace(cfg.loss, kind=args.loss_kind)
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
@@ -205,10 +199,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     params = load_checkpoint(args.model)
-    ds = load_dataset(args.data)
-    if len(ds) == 0:
-        raise ValueError(f"{args.data}: no records to evaluate")
-    report = evaluate(params, ds)
+    report = evaluate(params, load_dataset(args.data))
     for k, acc in enumerate(report.per_domain):
         print(f"domain {k} accuracy: {acc:.6f}")
     print(f"overall accuracy: {report.accuracy:.6f}")
@@ -354,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-decay", type=float, dest="weight_decay")
     p.add_argument("--batch-per-domain", type=int, dest="batch_per_domain")
     p.add_argument("--rank-target", type=int, dest="rank_target")
-    p.add_argument("--rank-mode", choices=["per_batch", "per_class"], dest="rank_mode")
     p.add_argument("--regularizer", choices=["rank", "nuclear"])
-    p.add_argument("--loss-kind", choices=["cross_entropy", "focal"], dest="loss_kind")
     p.add_argument(
         "--log-singular-values",
         action="store_true",

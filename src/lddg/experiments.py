@@ -86,8 +86,11 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     (epoch // lr_decay_every)``.  A non-finite loss aborts immediately with
     the epoch and batch named, rather than letting Adam ride a NaN.  The
     returned params are views of the run's Adam vector.  Nothing is scored:
-    the result's accuracies stay None.
+    the result's accuracies stay None.  Sources with no records raise
+    ``ValueError``.
     """
+    if len(sources) == 0:
+        raise ValueError("sources have no records to train on")
     t0 = time.perf_counter()
     rng_init = np.random.default_rng([cfg.seed, _STREAM_INIT])
     params = init_params(sources.feature_dim, sources.num_classes, cfg, rng_init)
@@ -142,9 +145,12 @@ def train(cfg: TrainConfig, sources: DomainDataset):
 def evaluate(params: ModelParams, ds: DomainDataset) -> EvalReport:
     """Accuracy at the posterior mean (zero noise); argmax ties -> lowest index.
 
-    Raises ``ValueError`` when the dataset's feature width is not the
-    model's input width, or it has more classes than the model scores.
+    Raises ``ValueError`` when the dataset has no records, its feature
+    width is not the model's input width, or it has more classes than the
+    model scores.
     """
+    if len(ds) == 0:
+        raise ValueError("dataset has no records to evaluate")
     in_dim = params.layers()[0].weight.shape[1]
     if in_dim != ds.feature_dim:
         raise ValueError(

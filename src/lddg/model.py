@@ -9,12 +9,12 @@ explicitly, layer by layer; tests check it against central differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._fields import check_field_types
-from .losses import LossConfig, batch_mean
+from .losses import batch_mean
 from .regularizers import (
     LOG_VAR_MAX,
     LOG_VAR_MIN,
@@ -86,13 +86,12 @@ class ModelParams:
 class TrainConfig:
     """Optimization and regularization settings.
 
-    lambda1/lambda2 weight the rank penalty and the KL term.  rank_target
-    overrides the class count C in the rank penalty (sigma_{rank_target+1}
-    is penalized); None means use the number of classes.  rank_mode is
-    'per_batch' (penalize the whole latent batch) or 'per_class' (penalize
-    each class's rows toward rank 1 and average).  regularizer picks the
-    low-rank penalty itself: 'rank' (the sigma_{C+1} penalty) or 'nuclear'
-    (sum of singular values, an ablation baseline).
+    The objective is ``CE + lambda1 * penalty(Z) + lambda2 * KL``, with the
+    penalty taken over the whole latent batch Z.  rank_target overrides the
+    class count C in the rank penalty (sigma_{rank_target+1} is penalized);
+    None means use the number of classes.  regularizer picks the low-rank
+    penalty itself: 'rank' (the sigma_{C+1} penalty) or 'nuclear' (sum of
+    singular values, an ablation baseline).
     """
 
     lambda1: float = 0.01
@@ -106,8 +105,6 @@ class TrainConfig:
     latent_dim: int = 16
     seed: int = 0
     rank_target: int | None = None
-    loss: LossConfig = field(default_factory=LossConfig)
-    rank_mode: str = "per_batch"
     regularizer: str = "rank"
     encoder_dims: tuple = (32, 32)
     head_hidden_dim: int = 32
@@ -117,12 +114,8 @@ class TrainConfig:
         check_field_types(self)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.rank_mode not in ("per_batch", "per_class"):
-            raise ValueError(f"unknown rank_mode {self.rank_mode!r}")
         if self.regularizer not in ("rank", "nuclear"):
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        if isinstance(self.loss, dict):
-            self.loss = LossConfig(**self.loss)
         for name in ("learning_rate", "lr_decay_factor"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -252,31 +245,18 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     )
 
 
-def _rank_penalty(z, labels, num_classes: int, cfg: TrainConfig) -> RankLossResult:
-    """Dispatch the low-rank penalty per config; subgradient matches z."""
-    kind = cfg.regularizer
-    if cfg.rank_mode == "per_batch":
-        c_eff = cfg.rank_target if cfg.rank_target is not None else num_classes
-        return rank_loss(z, c_eff) if kind == "rank" else nuclear_norm(z)
-    # per_class: each class's rows pushed toward rank 1, averaged over the
-    # classes present in the batch
-    present = np.unique(labels)
-    sub = np.zeros_like(z)
-    total = 0.0
-    for c in present:
-        rows = np.flatnonzero(labels == c)
-        block = rank_loss(z[rows], 1) if kind == "rank" else nuclear_norm(z[rows])
-        total += block.value
-        sub[rows] = block.subgradient
-    n_present = present.size
-    return RankLossResult(value=total / n_present, subgradient=sub / n_present)
+def _rank_penalty(z, num_classes: int, cfg: TrainConfig) -> RankLossResult:
+    """The configured low-rank penalty of the whole latent batch."""
+    if cfg.regularizer == "nuclear":
+        return nuclear_norm(z)
+    return rank_loss(z, cfg.rank_target if cfg.rank_target is not None else num_classes)
 
 
 def _loss_terms(trace: ForwardTrace, labels, cfg: TrainConfig):
     """Values of the three loss terms; caches their gradients on the trace."""
     num_classes = trace.logits.shape[1]
-    cls_value, d_logits = batch_mean(trace.logits, labels, cfg.loss)
-    rank_res = _rank_penalty(trace.z, labels, num_classes, cfg)
+    cls_value, d_logits = batch_mean(trace.logits, labels)
+    rank_res = _rank_penalty(trace.z, num_classes, cfg)
     kl_value, kl_mu, kl_log_var = kl_standard_normal(trace.posterior)
     trace.loss_grads = _LossGrads(
         labels, cfg, d_logits, rank_res.subgradient, kl_mu, kl_log_var

@@ -79,19 +79,21 @@ class TestGenData:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"synthetic": {"num_classez": 3}}))
-        rc = main(["gen-data", "--config", str(bad),
-                   "--out-sources", str(tmp_path / "s"),
-                   "--out-target", str(tmp_path / "t")])
-        assert rc == 2
-        assert "num_classez" in capsys.readouterr().err
+        for section, key in (("synthetic", "num_classez"), ("train", "rank_mode")):
+            bad.write_text(json.dumps({section: {key: 3}}))
+            rc = main(["gen-data", "--config", str(bad),
+                       "--out-sources", str(tmp_path / "s"),
+                       "--out-target", str(tmp_path / "t")])
+            assert rc == 2
+            assert key in capsys.readouterr().err
 
     def test_unknown_config_section_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"synth": {}}))
-        assert main(["gen-data", "--config", str(bad),
-                     "--out-sources", str(tmp_path / "s"),
-                     "--out-target", str(tmp_path / "t")]) == 2
+        for raw in ({"synth": {}}, {"loss": {}}):
+            bad.write_text(json.dumps(raw))
+            assert main(["gen-data", "--config", str(bad),
+                         "--out-sources", str(tmp_path / "s"),
+                         "--out-target", str(tmp_path / "t")]) == 2
 
     def test_non_numeric_config_value_names_the_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -174,22 +176,28 @@ class TestTrain:
         assert rc == 1
         assert "lambda1" in capsys.readouterr().err
 
-    def test_non_numeric_loss_value_names_the_key(self, workspace, tmp_path, capsys):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"train": TINY_TRAIN, "loss": {"gamma": "2"}}))
-        rc = main([
-            "train", "--config", str(config),
-            "--sources", str(workspace["sources"]),
-        ])
-        assert rc == 1
-        assert "gamma" in capsys.readouterr().err
-
     def test_missing_sources_file(self, workspace, capsys):
         rc = main([
             "train", "--config", str(workspace["config"]),
             "--sources", str(workspace["root"] / "nope.txt"),
         ])
         assert rc == 1
+
+    def test_empty_sources_is_contract_failure(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("LDDG-DS 1 1 2 8 0\n")
+        rc = main(["train", "--config", str(workspace["config"]),
+                   "--sources", str(empty)])
+        assert rc == 1
+        assert "no records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--rank-mode", "per_batch"), ("--loss-kind", "cross_entropy")]
+    )
+    def test_removed_flags_are_usage_errors(self, workspace, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--sources", str(workspace["sources"]), flag, value])
+        assert exc.value.code == 2
 
 
 @pytest.fixture(scope="module")

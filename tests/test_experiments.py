@@ -211,6 +211,15 @@ class TestAblation:
         with pytest.raises(ValueError, match="unknown"):
             ablate_components(TINY_TRAIN, sources, target, cells=("bogus",))
 
+    def test_empty_target_raises(self, tiny):
+        sources, _ = tiny
+        empty = DomainDataset(
+            num_domains=1, num_classes=2, feature_dim=8,
+            features=np.zeros((0, 8)), labels=[], domain_ids=[],
+        )
+        with pytest.raises(ValueError, match="no records"):
+            ablate_components(TINY_TRAIN, sources, empty, seeds=(0,), cells=("none",))
+
     def test_none_cell_ignores_base_lambdas(self, tiny):
         # The 'none' cell zeroes both penalty weights, so the base config's
         # lambdas must not influence it.

@@ -2,30 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from lddg.linalg import finite_diff_grad
-from lddg.losses import (
-    LossConfig,
-    batch_mean,
-    cross_entropy_softmax,
-    focal_alternate,
-    log_sum_exp,
-)
-
-
-class TestLogSumExp:
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.uniform(-5.0, 5.0, size=rng.integers(2, 10))
-            np.testing.assert_allclose(
-                log_sum_exp(x), np.log(np.sum(np.exp(x))), atol=1e-12
-            )
-
-    def test_stable_for_large_inputs(self):
-        x = np.array([1000.0, 1000.0])
-        np.testing.assert_allclose(log_sum_exp(x), 1000.0 + np.log(2.0), atol=1e-9)
-        assert np.isfinite(log_sum_exp(np.array([-1000.0, -1001.0])))
+from lddg.losses import batch_mean, cross_entropy_softmax
 
 
 class TestCrossEntropy:
@@ -41,14 +21,14 @@ class TestCrossEntropy:
             label = int(rng.integers(5))
             value, _ = cross_entropy_softmax(logits, label)
             np.testing.assert_allclose(
-                value, log_sum_exp(logits) - logits[label], atol=1e-12
+                value, logsumexp(logits) - logits[label], atol=1e-12
             )
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(2)
         logits = rng.uniform(-3.0, 3.0, 6)
         _, grad = cross_entropy_softmax(logits, 2)
-        p = np.exp(logits - log_sum_exp(logits))
+        p = np.exp(logits - logsumexp(logits))
         expected = p.copy()
         expected[2] -= 1.0
         np.testing.assert_allclose(grad, expected, atol=1e-12)
@@ -75,99 +55,23 @@ class TestCrossEntropy:
             cross_entropy_softmax(np.zeros(3), -1)
 
 
-class TestFocalAlternate:
-    def test_value_formula(self):
-        # loss = softplus(-(gamma * margin + beta)) / gamma where the margin is
-        # the true logit minus the log-sum-exp of the others.
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            logits = rng.uniform(-3.0, 3.0, 5)
-            label = int(rng.integers(5))
-            value, _ = focal_alternate(logits, label, gamma=2.0, beta=1.0)
-            others = np.delete(logits, label)
-            margin = logits[label] - log_sum_exp(others)
-            expected = np.logaddexp(0.0, -(2.0 * margin + 1.0)) / 2.0
-            np.testing.assert_allclose(value, expected, atol=1e-12)
-
-    def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            logits = rng.uniform(-3.0, 3.0, 4)
-            label = int(rng.integers(4))
-            _, grad = focal_alternate(logits, label, 1.5, 0.5)
-            fd = finite_diff_grad(
-                lambda row: focal_alternate(row[0], label, 1.5, 0.5)[0],
-                logits[None, :],
-            )
-            np.testing.assert_allclose(grad, fd[0], atol=1e-7)
-
-    def test_convex_in_logits(self):
-        # Midpoint convexity of the loss as a function of the logit vector,
-        # checked on random pairs.
-        rng = np.random.default_rng(6)
-        for _ in range(200):
-            a = rng.uniform(-4.0, 4.0, 5)
-            b = rng.uniform(-4.0, 4.0, 5)
-            label = int(rng.integers(5))
-            mid, _ = focal_alternate(0.5 * (a + b), label, 2.0, 1.0)
-            avg = 0.5 * (
-                focal_alternate(a, label, 2.0, 1.0)[0]
-                + focal_alternate(b, label, 2.0, 1.0)[0]
-            )
-            assert mid <= avg + 1e-10
-
-    def test_monotone_decreasing_in_true_logit(self):
-        logits = np.array([0.0, 1.0, -1.0])
-        lo, _ = focal_alternate(logits, 0, 2.0, 1.0)
-        logits2 = logits.copy()
-        logits2[0] += 1.0
-        hi, _ = focal_alternate(logits2, 0, 2.0, 1.0)
-        assert hi < lo
-
-    def test_extreme_margin_stays_finite(self):
-        value, grad = focal_alternate(np.array([500.0, -500.0]), 0, 2.0, 1.0)
-        assert np.isfinite(value)
-        assert np.all(np.isfinite(grad))
-
-    def test_needs_two_classes(self):
-        with pytest.raises(ValueError):
-            focal_alternate(np.zeros(1), 0, 2.0, 1.0)
-
-
 class TestBatchMean:
     def test_matches_per_sample_average(self):
         rng = np.random.default_rng(7)
         logits = rng.uniform(-3.0, 3.0, (8, 4))
         labels = rng.integers(0, 4, 8)
-        for cfg in (LossConfig(), LossConfig(kind="focal", gamma=2.0, beta=1.0)):
-            value, grad = batch_mean(logits, labels, cfg)
-            singles = []
-            grads = np.zeros_like(logits)
-            for i in range(8):
-                if cfg.kind == "cross_entropy":
-                    v, g = cross_entropy_softmax(logits[i], int(labels[i]))
-                else:
-                    v, g = focal_alternate(
-                        logits[i], int(labels[i]), cfg.gamma, cfg.beta
-                    )
-                singles.append(v)
-                grads[i] = g / 8.0
-            np.testing.assert_allclose(value, np.mean(singles), atol=1e-12)
-            np.testing.assert_allclose(grad, grads, atol=1e-12)
+        value, grad = batch_mean(logits, labels)
+        singles = []
+        grads = np.zeros_like(logits)
+        for i in range(8):
+            v, g = cross_entropy_softmax(logits[i], int(labels[i]))
+            singles.append(v)
+            grads[i] = g / 8.0
+        np.testing.assert_allclose(value, np.mean(singles), atol=1e-12)
+        np.testing.assert_allclose(grad, grads, atol=1e-12)
 
     def test_shape_validation(self):
-        cfg = LossConfig()
         with pytest.raises(ValueError):
-            batch_mean(np.zeros((3, 2)), np.zeros(4, dtype=int), cfg)
+            batch_mean(np.zeros((3, 2)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
-            batch_mean(np.zeros((0, 2)), np.zeros(0, dtype=int), cfg)
-
-
-class TestLossConfig:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            LossConfig(kind="hinge")
-
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError):
-            LossConfig(kind="focal", gamma=0.0)
+            batch_mean(np.zeros((0, 2)), np.zeros(0, dtype=int))
