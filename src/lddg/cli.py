@@ -98,24 +98,13 @@ def _train_config(raw, args) -> TrainConfig:
     if "encoder_dims" in kwargs:
         kwargs["encoder_dims"] = tuple(kwargs["encoder_dims"])
     cfg = TrainConfig(**kwargs)
-    overrides = {}
-    for flag, field_name in (
-        ("seed", "seed"),
-        ("epochs", "epochs"),
-        ("lambda1", "lambda1"),
-        ("lambda2", "lambda2"),
-        ("learning_rate", "learning_rate"),
-        ("weight_decay", "weight_decay"),
-        ("batch_per_domain", "batch_per_domain"),
-        ("rank_target", "rank_target"),
-        ("regularizer", "regularizer"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field_name] = value
-    if getattr(args, "log_singular_values", False):
-        overrides["log_singular_values"] = True
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+    # every training flag's dest is its TrainConfig field; an unset flag is None
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(TrainConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    return dataclasses.replace(cfg, **overrides)
 
 
 def _resolve_out(flag_value, raw, key, required=True):
@@ -125,6 +114,11 @@ def _resolve_out(flag_value, raw, key, required=True):
     if value is None and required:
         raise UsageError(f"no output path for {key!r}: pass a flag or set outputs.{key}")
     return value
+
+
+def _fmt_acc(acc, digits):
+    """An accuracy to ``digits`` places, or n/a for a domain with no rows."""
+    return "n/a" if acc is None else f"{acc:.{digits}f}"
 
 
 def _parse_int_list(text, what):
@@ -190,7 +184,7 @@ def cmd_train(args) -> int:
         f"epoch {last.epoch}: total {last.total:.6f} "
         f"(cls {last.cls:.6f}, rank {last.rank:.6f}, kl {last.kl:.6f})"
     )
-    accs = " ".join(f"{a:.4f}" for a in result.source_accuracy)
+    accs = " ".join(_fmt_acc(a, 4) for a in result.source_accuracy)
     print(f"source accuracy per domain: {accs}")
     if result.target_accuracy is not None:
         print(f"target accuracy: {result.target_accuracy:.4f}")
@@ -201,7 +195,7 @@ def cmd_eval(args) -> int:
     params = load_checkpoint(args.model)
     report = evaluate(params, load_dataset(args.data))
     for k, acc in enumerate(report.per_domain):
-        print(f"domain {k} accuracy: {acc:.6f}")
+        print(f"domain {k} accuracy: {_fmt_acc(acc, 6)}")
     print(f"overall accuracy: {report.accuracy:.6f}")
     record = {"accuracy": report.accuracy, "per_domain": report.per_domain}
     if args.out:
@@ -338,17 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", help="checkpoint output path")
     p.add_argument("--metrics-out", help="JSONL metrics output path")
     p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--batch-per-domain", type=int, dest="batch_per_domain")
+    _add_train_overrides(p)
     p.add_argument("--rank-target", type=int, dest="rank_target")
     p.add_argument("--regularizer", choices=["rank", "nuclear"])
     p.add_argument(
         "--log-singular-values",
         action="store_true",
+        default=None,
         help="log the top singular values of the latent batch each epoch",
     )
     p.set_defaults(func=cmd_train)

@@ -23,7 +23,6 @@ from .model import (
     init_params,
     total_loss,
 )
-from .theory import singular_spectrum
 
 __all__ = [
     "EpochRecord",
@@ -41,6 +40,7 @@ __all__ = [
 _STREAM_INIT = 1
 _STREAM_NOISE = 2
 _SPECTRUM_TOP_K = 8
+_LR_DECAY_FACTOR = 10.0
 
 
 @dataclass
@@ -82,8 +82,10 @@ class EvalReport:
 def train(cfg: TrainConfig, sources: DomainDataset):
     """Train on the pooled source domains; returns ``(params, RunResult)``.
 
-    Per epoch the learning rate is ``learning_rate / lr_decay_factor **
-    (epoch // lr_decay_every)``.  A non-finite loss aborts immediately with
+    Per epoch the learning rate is ``learning_rate / 10 ** (epoch //
+    lr_decay_every)``.  With ``log_singular_values`` each epoch record
+    keeps the top singular values of its last latent batch, read from the
+    rank penalty's SVD.  A non-finite loss aborts immediately with
     the epoch and batch named, rather than letting Adam ride a NaN.  The
     returned params are views of the run's Adam vector.  Nothing is scored:
     the result's accuracies stay None.  Sources with no records raise
@@ -99,10 +101,9 @@ def train(cfg: TrainConfig, sources: DomainDataset):
 
     records = []
     for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate / cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+        lr = cfg.learning_rate / _LR_DECAY_FACTOR ** (epoch // cfg.lr_decay_every)
         batches = sample_batches(sources, cfg.batch_per_domain, cfg.seed, epoch)
         sums = {"total": 0.0, "cls": 0.0, "rank": 0.0, "kl": 0.0}
-        last_z = None
         for b_idx, rows in enumerate(batches):
             x = sources.features[rows]
             y = sources.labels[rows]
@@ -118,7 +119,6 @@ def train(cfg: TrainConfig, sources: DomainDataset):
             adam_step(params, grads, state, lr, cfg.weight_decay)
             for key in sums:
                 sums[key] += parts[key]
-            last_z = trace.z
         n_b = len(batches)
         record = EpochRecord(
             epoch=epoch,
@@ -128,10 +128,8 @@ def train(cfg: TrainConfig, sources: DomainDataset):
             kl=sums["kl"] / n_b,
             lr=lr,
         )
-        if cfg.log_singular_values and last_z is not None:
-            record.singular_values = [
-                float(s) for s in singular_spectrum(last_z, _SPECTRUM_TOP_K)
-            ]
+        if cfg.log_singular_values:
+            record.singular_values = [float(s) for s in trace.sigma[:_SPECTRUM_TOP_K]]
         records.append(record)
 
     result = RunResult(
@@ -142,32 +140,38 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     return params, result
 
 
-def evaluate(params: ModelParams, ds: DomainDataset) -> EvalReport:
-    """Accuracy at the posterior mean (zero noise); argmax ties -> lowest index.
-
-    Raises ``ValueError`` when the dataset has no records, its feature
-    width is not the model's input width, or it has more classes than the
-    model scores.
-    """
+def _check_fits(ds: DomainDataset, in_dim: int, n_cls: int):
+    """Raise ``ValueError`` unless a model with ``in_dim`` inputs scoring
+    ``n_cls`` classes can be evaluated on ``ds``: it must have records, the
+    model's feature width and no more classes than the model scores."""
     if len(ds) == 0:
         raise ValueError("dataset has no records to evaluate")
-    in_dim = params.layers()[0].weight.shape[1]
     if in_dim != ds.feature_dim:
         raise ValueError(
             f"model expects {in_dim}-dim inputs but dataset has feature_dim={ds.feature_dim}"
         )
-    n_cls = params.classifier.weight.shape[0]
     if ds.num_classes > n_cls:
         raise ValueError(
             f"dataset has {ds.num_classes} classes but model scores only {n_cls}"
         )
+
+
+def evaluate(params: ModelParams, ds: DomainDataset) -> EvalReport:
+    """Accuracy at the posterior mean (zero noise); argmax ties -> lowest index.
+
+    A domain with no rows in ``ds`` has accuracy None.  Raises
+    ``ValueError`` when the dataset has no records, its feature width is
+    not the model's input width, or it has more classes than the model
+    scores.
+    """
+    _check_fits(ds, params.layers()[0].weight.shape[1], params.classifier.weight.shape[0])
     trace = forward(params, ds.features, None)
     pred = np.argmax(trace.logits, axis=1)
     correct = pred == ds.labels
     per_domain = []
     for k in range(ds.num_domains):
         mask = ds.domain_ids == k
-        per_domain.append(float(np.mean(correct[mask])) if np.any(mask) else float("nan"))
+        per_domain.append(float(np.mean(correct[mask])) if np.any(mask) else None)
     return EvalReport(accuracy=float(np.mean(correct)), per_domain=per_domain)
 
 
@@ -217,6 +221,7 @@ def ablate_components(
     'nuclear' cells swap the sigma_{C+1} penalty for the nuclear norm at the
     same lambda1, which is the classical low-rank baseline.
     """
+    _check_fits(target, sources.feature_dim, sources.num_classes)
     wanted = list(cells) if cells is not None else [c[0] for c in ABLATION_CELLS]
     by_name = {c[0]: c for c in ABLATION_CELLS}
     unknown = [w for w in wanted if w not in by_name]
@@ -259,6 +264,7 @@ def sweep_rank(
     otherwise the penalty is structurally zero and the sweep point is
     meaningless; that misuse is rejected up front.
     """
+    _check_fits(target, sources.feature_dim, sources.num_classes)
     ranks = list(ranks)
     if len(set(ranks)) != len(ranks):
         raise ValueError(f"duplicate rank values in sweep: {ranks}")

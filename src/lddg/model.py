@@ -19,7 +19,6 @@ from .regularizers import (
     LOG_VAR_MAX,
     LOG_VAR_MIN,
     GaussianPosterior,
-    RankLossResult,
     kl_standard_normal,
     nuclear_norm,
     rank_loss,
@@ -43,6 +42,9 @@ __all__ = [
 
 _ACTIVATIONS = ("linear", "relu", "leaky_relu")
 _LEAKY_SLOPE = 0.01
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -101,7 +103,6 @@ class TrainConfig:
     epochs: int = 200
     batch_per_domain: int = 16
     lr_decay_every: int = 80
-    lr_decay_factor: float = 10.0
     latent_dim: int = 16
     seed: int = 0
     rank_target: int | None = None
@@ -116,9 +117,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.regularizer not in ("rank", "nuclear"):
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        for name in ("learning_rate", "lr_decay_factor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         for name in ("lambda1", "lambda2", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -127,42 +127,34 @@ class TrainConfig:
 
 
 @dataclass
-class _LossGrads:
-    """Gradients of the three loss terms w.r.t. the logits, z and the posterior.
-
-    Unweighted (backward applies lambda1 and lambda2); valid only for the
-    ``labels`` and ``cfg`` objects they were computed with.
-    """
-
-    labels: np.ndarray
-    cfg: TrainConfig
-    d_logits: np.ndarray
-    rank_sub: np.ndarray
-    kl_mu: np.ndarray
-    kl_log_var: np.ndarray
-
-
-@dataclass
 class ForwardTrace:
     """Everything the backward pass needs from one forward evaluation.
 
-    ``loss_grads`` is filled by ``total_loss`` with the loss-side gradients
-    it computes anyway (CE's, the penalty's subgradient and KL's), so that
-    ``backward`` need not run ``batch_mean``, the penalty's SVD or
-    ``kl_standard_normal`` again.
+    The trunk is ``[*params.encoder, params.head_hidden]``; ``trunk_pre``
+    and ``trunk_act`` hold each of its layers' pre-activations and outputs.
+    ``total_loss`` fills the fields after ``logits``: the unweighted
+    gradients of CE (w.r.t. the logits), of the penalty (w.r.t. z) and of
+    KL (w.r.t. the posterior), the ``labels`` and ``cfg`` objects they were
+    computed for, and the singular values of z from the penalty's SVD.
+    ``backward`` reuses those gradients rather than run ``batch_mean``, the
+    SVD and ``kl_standard_normal`` again.
     """
 
     x: np.ndarray
-    encoder_pre: list
-    encoder_act: list
-    head_pre: np.ndarray
-    head_act: np.ndarray
+    trunk_pre: list
+    trunk_act: list
     log_var_raw: np.ndarray
     posterior: GaussianPosterior
     noise: np.ndarray
     z: np.ndarray
     logits: np.ndarray
-    loss_grads: _LossGrads | None = None
+    labels: np.ndarray | None = None
+    cfg: TrainConfig | None = None
+    d_logits: np.ndarray | None = None
+    rank_sub: np.ndarray | None = None
+    kl_mu: np.ndarray | None = None
+    kl_log_var: np.ndarray | None = None
+    sigma: np.ndarray | None = None
 
 
 def init_params(
@@ -218,25 +210,21 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     if not np.all(np.isfinite(h)):
         raise ValueError("forward received non-finite inputs")
     pres, acts = [], []
-    for layer in params.encoder:
+    for layer in [*params.encoder, params.head_hidden]:
         pre = h @ layer.weight.T + layer.bias
         h = _activate(pre, layer.activation)
         pres.append(pre)
         acts.append(h)
-    head_pre = h @ params.head_hidden.weight.T + params.head_hidden.bias
-    head_act = _activate(head_pre, params.head_hidden.activation)
-    mu = head_act @ params.head_mu.weight.T + params.head_mu.bias
-    log_var_raw = head_act @ params.head_log_var.weight.T + params.head_log_var.bias
+    mu = h @ params.head_mu.weight.T + params.head_mu.bias
+    log_var_raw = h @ params.head_log_var.weight.T + params.head_log_var.bias
     posterior = GaussianPosterior(mu=mu, log_var=log_var_raw.copy())
     eps = np.zeros_like(mu) if noise is None else np.asarray(noise, dtype=np.float64)
     z = reparameterize(posterior, eps)
     logits = z @ params.classifier.weight.T + params.classifier.bias
     return ForwardTrace(
         x=np.asarray(x, dtype=np.float64),
-        encoder_pre=pres,
-        encoder_act=acts,
-        head_pre=head_pre,
-        head_act=head_act,
+        trunk_pre=pres,
+        trunk_act=acts,
         log_var_raw=log_var_raw,
         posterior=posterior,
         noise=eps,
@@ -245,43 +233,28 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     )
 
 
-def _rank_penalty(z, num_classes: int, cfg: TrainConfig) -> RankLossResult:
-    """The configured low-rank penalty of the whole latent batch."""
-    if cfg.regularizer == "nuclear":
-        return nuclear_norm(z)
-    return rank_loss(z, cfg.rank_target if cfg.rank_target is not None else num_classes)
-
-
-def _loss_terms(trace: ForwardTrace, labels, cfg: TrainConfig):
-    """Values of the three loss terms; caches their gradients on the trace."""
-    num_classes = trace.logits.shape[1]
-    cls_value, d_logits = batch_mean(trace.logits, labels)
-    rank_res = _rank_penalty(trace.z, num_classes, cfg)
-    kl_value, kl_mu, kl_log_var = kl_standard_normal(trace.posterior)
-    trace.loss_grads = _LossGrads(
-        labels, cfg, d_logits, rank_res.subgradient, kl_mu, kl_log_var
-    )
-    return cls_value, rank_res.value, kl_value
-
-
 def total_loss(trace: ForwardTrace, labels, cfg: TrainConfig):
     """Scalar objective and its additive parts.
 
-    Returns ``(value, parts)`` with parts keyed 'cls', 'rank', 'kl',
-    'total'; the total is exactly ``cls + lambda1 * rank + lambda2 * kl``
-    as floats.  The gradients of the three terms are cached on the trace,
-    so backward reuses them instead of recomputing CE, the SVD and KL.
+    Evaluates CE, the configured low-rank penalty of the whole latent batch
+    (``rank_loss`` at ``rank_target``, or at the class count when that is
+    None, or ``nuclear_norm``) and KL, once each.  Returns ``(value, parts)``
+    with parts keyed 'cls', 'rank', 'kl', 'total'; the total is exactly
+    ``cls + lambda1 * rank + lambda2 * kl`` as floats.  The terms' gradients,
+    ``labels``, ``cfg`` and the penalty's singular values are stored on the
+    trace (see ForwardTrace), so backward reuses them.
     """
     labels = np.asarray(labels)
-    cls_value, rank_value, kl_value = _loss_terms(trace, labels, cfg)
-    parts = {
-        "cls": cls_value,
-        "rank": rank_value,
-        "kl": kl_value,
-    }
-    parts["total"] = (
-        parts["cls"] + cfg.lambda1 * parts["rank"] + cfg.lambda2 * parts["kl"]
-    )
+    cls_value, trace.d_logits = batch_mean(trace.logits, labels)
+    if cfg.regularizer == "nuclear":
+        penalty = nuclear_norm(trace.z)
+    else:
+        penalty = rank_loss(trace.z, cfg.rank_target or trace.logits.shape[1])
+    kl_value, trace.kl_mu, trace.kl_log_var = kl_standard_normal(trace.posterior)
+    trace.rank_sub, trace.sigma = penalty.subgradient, penalty.sigma
+    trace.labels, trace.cfg = labels, cfg
+    parts = {"cls": cls_value, "rank": penalty.value, "kl": kl_value}
+    parts["total"] = cls_value + cfg.lambda1 * penalty.value + cfg.lambda2 * kl_value
     return parts["total"], parts
 
 
@@ -289,59 +262,52 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     """Gradient of total_loss w.r.t. every parameter.
 
     Returns a ModelParams whose arrays are the gradients.  Backpropagates
-    the loss-side gradients that total_loss cached on the trace for the
-    same ``labels`` and ``cfg`` objects, and computes them itself when
-    there are none, so call total_loss first to compute each loss term once.
+    the loss-side gradients that total_loss stored on the trace for the
+    same ``labels`` and ``cfg`` objects, and runs total_loss itself when
+    the trace holds none for them, so call total_loss first to compute
+    each loss term once.
     """
     labels = np.asarray(labels)
-    lg = trace.loss_grads
-    if lg is None or lg.labels is not labels or lg.cfg is not cfg:
-        _loss_terms(trace, labels, cfg)
-        lg = trace.loss_grads
-    d_logits = lg.d_logits
+    if trace.labels is not labels or trace.cfg is not cfg:
+        total_loss(trace, labels, cfg)
+    d_logits = trace.d_logits
 
     # classifier
     g_cls_w = d_logits.T @ trace.z
     g_cls_b = np.sum(d_logits, axis=0)
     d_z = d_logits @ params.classifier.weight
-    d_z = d_z + cfg.lambda1 * lg.rank_sub
+    d_z = d_z + cfg.lambda1 * trace.rank_sub
 
-    d_mu = d_z + cfg.lambda2 * lg.kl_mu
+    d_mu = d_z + cfg.lambda2 * trace.kl_mu
     std = np.exp(0.5 * trace.posterior.log_var)
-    d_lv = d_z * trace.noise * 0.5 * std + cfg.lambda2 * lg.kl_log_var
+    d_lv = d_z * trace.noise * 0.5 * std + cfg.lambda2 * trace.kl_log_var
     # the posterior clamps log_var; outside the clamp range the raw head
     # output has no effect, so its gradient is zero there
     clamp_ok = (trace.log_var_raw > LOG_VAR_MIN) & (trace.log_var_raw < LOG_VAR_MAX)
     d_lv = d_lv * clamp_ok
 
-    g_mu_w = d_mu.T @ trace.head_act
+    top_act = trace.trunk_act[-1]
+    g_mu_w = d_mu.T @ top_act
     g_mu_b = np.sum(d_mu, axis=0)
-    g_lv_w = d_lv.T @ trace.head_act
+    g_lv_w = d_lv.T @ top_act
     g_lv_b = np.sum(d_lv, axis=0)
 
-    d_head_act = d_mu @ params.head_mu.weight + d_lv @ params.head_log_var.weight
-    d_head_pre = d_head_act * _activate_grad(
-        trace.head_pre, params.head_hidden.activation
-    )
-    top_act = trace.encoder_act[-1] if params.encoder else trace.x
-    g_hh_w = d_head_pre.T @ top_act
-    g_hh_b = np.sum(d_head_pre, axis=0)
-
-    d_act = d_head_pre @ params.head_hidden.weight
-    g_encoder = []
-    for i in reversed(range(len(params.encoder))):
-        layer = params.encoder[i]
-        d_pre = d_act * _activate_grad(trace.encoder_pre[i], layer.activation)
-        below = trace.encoder_act[i - 1] if i > 0 else trace.x
+    d_act = d_mu @ params.head_mu.weight + d_lv @ params.head_log_var.weight
+    trunk = [*params.encoder, params.head_hidden]
+    g_trunk = []
+    for i in reversed(range(len(trunk))):
+        layer = trunk[i]
+        d_pre = d_act * _activate_grad(trace.trunk_pre[i], layer.activation)
+        below = trace.trunk_act[i - 1] if i > 0 else trace.x
         g_w = d_pre.T @ below
         g_b = np.sum(d_pre, axis=0)
-        g_encoder.append(Layer(weight=g_w, bias=g_b, activation=layer.activation))
+        g_trunk.append(Layer(weight=g_w, bias=g_b, activation=layer.activation))
         d_act = d_pre @ layer.weight
-    g_encoder.reverse()
+    g_trunk.reverse()
 
     return ModelParams(
-        encoder=g_encoder,
-        head_hidden=Layer(g_hh_w, g_hh_b, params.head_hidden.activation),
+        encoder=g_trunk[:-1],
+        head_hidden=g_trunk[-1],
         head_mu=Layer(g_mu_w, g_mu_b, "linear"),
         head_log_var=Layer(g_lv_w, g_lv_b, "linear"),
         classifier=Layer(g_cls_w, g_cls_b, "linear"),
@@ -394,11 +360,11 @@ def adam_step(
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ):
     """One Adam update in place, with decoupled weight decay.
+
+    The moment decays are 0.9 and 0.999 and the denominator's epsilon is
+    1e-8, Adam's usual values.
 
     Weight decay multiplies weight matrices by ``(1 - lr * weight_decay)``
     outside the moment accumulators; biases are never decayed.  ``params``
@@ -417,6 +383,7 @@ def adam_step(
     g = np.concatenate(
         [layer.weight.ravel() for layer in layers] + [layer.bias.ravel() for layer in layers]
     )
+    beta1, beta2 = _ADAM_BETA1, _ADAM_BETA2
     state.t += 1
     t = state.t
     m, v, p = state.m, state.v, state.vector
@@ -430,7 +397,7 @@ def adam_step(
         p[: state.n_weights] *= 1.0 - lr * weight_decay
     # p -= lr * m_hat / (sqrt(v_hat) + eps), in place, in that order
     np.sqrt(v_hat, out=v_hat)
-    v_hat += eps
+    v_hat += _ADAM_EPS
     m_hat *= lr
     m_hat /= v_hat
     p -= m_hat

@@ -54,8 +54,12 @@ class GaussianPosterior:
 
 @dataclass
 class RankLossResult:
+    """A low-rank penalty's value, its subgradient, and the singular values
+    of the latent batch it was taken over (descending)."""
+
     value: float
     subgradient: np.ndarray
+    sigma: np.ndarray
 
 
 def rank_loss(z, num_classes: int) -> RankLossResult:
@@ -65,26 +69,26 @@ def rank_loss(z, num_classes: int) -> RankLossResult:
     num_classes : C >= 1
 
     Returns value ``sigma_{C+1}`` (1-indexed, i.e. the first singular value
-    beyond a rank-C fit) and subgradient ``u_{C+1} v_{C+1}^T`` from the SVD
-    of z.  When ``min(n, d) <= C`` the batch can never exceed rank C, so the
-    value is 0 with a zero subgradient; a warning is logged because a batch
-    that small makes the penalty inert.
+    beyond a rank-C fit), subgradient ``u_{C+1} v_{C+1}^T`` and all of
+    sigma, from one SVD of z.  When ``min(n, d) <= C`` the batch can never
+    exceed rank C, so the value is 0 with a zero subgradient (sigma is
+    still returned); a warning is logged because a batch that small makes
+    the penalty inert.
     """
-    zm = as_matrix(z)
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
-    n, d = zm.shape
-    if min(n, d) <= num_classes:
+    res = svd(z)
+    if res.sigma.size <= num_classes:
+        shape = (res.u.shape[0], res.v.shape[0])
         logger.warning(
             "rank_loss inert: batch shape %s has min dim <= num_classes=%d",
-            zm.shape,
+            shape,
             num_classes,
         )
-        return RankLossResult(value=0.0, subgradient=np.zeros_like(zm))
-    res = svd(zm)
+        return RankLossResult(value=0.0, subgradient=np.zeros(shape), sigma=res.sigma)
     value = float(res.sigma[num_classes])
     sub = np.outer(res.u[:, num_classes], res.v[:, num_classes])
-    return RankLossResult(value=value, subgradient=sub)
+    return RankLossResult(value=value, subgradient=sub, sigma=res.sigma)
 
 
 def nuclear_norm(z) -> RankLossResult:
@@ -93,10 +97,9 @@ def nuclear_norm(z) -> RankLossResult:
     Used as the low-rank baseline in ablations.  Unlike the sigma_{C+1}
     penalty its subgradient has Frobenius norm sqrt(rank), not 1.
     """
-    zm = as_matrix(z)
-    res = svd(zm)
+    res = svd(z)
     return RankLossResult(
-        value=float(np.sum(res.sigma)), subgradient=res.u @ res.v.T
+        value=float(np.sum(res.sigma)), subgradient=res.u @ res.v.T, sigma=res.sigma
     )
 
 

@@ -167,15 +167,13 @@ def verify_mixture_kl_bound(trial: TheoremTrial) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def make_risk_bound_trial(
-    seed: int,
-    num_classes: int,
-    index: int = 0,
-    num_sources: int = 3,
-    latent_dim: int = 6,
-    risk_samples: int = 3000,
-    max_retries: int = 50,
-) -> TheoremTrial:
+_RISK_SOURCES = 3  # source posteriors per risk-bound trial
+_RISK_LATENT_DIM = 6
+_RISK_SAMPLES = 3000  # Monte-Carlo draws per source for epsilon
+_RISK_MAX_RETRIES = 50
+
+
+def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> TheoremTrial:
     """Random risk-bound instance with its epsilon measured by Monte Carlo.
 
     Draws class prototypes, per-source same-class posteriors around the
@@ -184,9 +182,9 @@ def make_risk_bound_trial(
     the classifier is so bad that epsilon exceeds 4 nats (the bound would
     still hold, but such trials test nothing interesting).
     """
-    for attempt in range(max_retries):
+    for attempt in range(_RISK_MAX_RETRIES):
         rng = np.random.default_rng([seed, 43, index, attempt])
-        c, k, d = num_classes, num_sources, latent_dim
+        c, k, d = num_classes, _RISK_SOURCES, _RISK_LATENT_DIM
         label = int(rng.integers(c))
         protos = rng.standard_normal((c, d))
         weight = protos + 0.1 * rng.standard_normal((c, d))  # roughly aligned scorer
@@ -203,11 +201,11 @@ def make_risk_bound_trial(
                     log_var=np.full((1, d), 2.0 * np.log(sigma)),
                 )
             )
-            z = mu + sigma * rng.standard_normal((risk_samples, d))
+            z = mu + sigma * rng.standard_normal((_RISK_SAMPLES, d))
             logits = z @ weight.T + bias
             losses = _ce_rows(logits, label)
             risks.append(float(np.mean(losses)))
-            ses.append(float(np.std(losses) / np.sqrt(risk_samples)))
+            ses.append(float(np.std(losses) / np.sqrt(_RISK_SAMPLES)))
         epsilon = max(risks)
         if epsilon <= 4.0:
             return TheoremTrial(
@@ -221,7 +219,7 @@ def make_risk_bound_trial(
                 classifier=(weight, bias),
             )
     raise RuntimeError(
-        f"could not draw an acceptable risk-bound trial in {max_retries} attempts"
+        f"could not draw an acceptable risk-bound trial in {_RISK_MAX_RETRIES} attempts"
     )
 
 

@@ -1,12 +1,13 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from lddg.cli import main
-from lddg.data import load_dataset
+from lddg.data import load_dataset, save_dataset
 from lddg.experiments import evaluate
 from lddg.model import load_checkpoint
 
@@ -28,6 +29,23 @@ TINY_TRAIN = {
     "encoder_dims": [8],
     "head_hidden_dim": 8,
 }
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which JSON does not allow."""
+    def reject(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def _domain_0_only(workspace, path):
+    """The sources file cut down to domain 0's rows, still declaring 2 domains."""
+    ds = load_dataset(workspace["sources"])
+    keep = ds.domain_ids == 0
+    save_dataset(path, dataclasses.replace(
+        ds, features=ds.features[keep], labels=ds.labels[keep], domain_ids=ds.domain_ids[keep],
+    ))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +97,11 @@ class TestGenData:
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for section, key in (("synthetic", "num_classez"), ("train", "rank_mode")):
+        for section, key in (
+            ("synthetic", "num_classez"),
+            ("train", "rank_mode"),
+            ("train", "lr_decay_factor"),
+        ):
             bad.write_text(json.dumps({section: {key: 3}}))
             rc = main(["gen-data", "--config", str(bad),
                        "--out-sources", str(tmp_path / "s"),
@@ -146,6 +168,20 @@ class TestTrain:
         accs = " ".join(f"{a:.4f}" for a in source_accuracy)
         assert f"source accuracy per domain: {accs}" in out
         assert "target accuracy" in out
+
+    def test_domain_without_rows_is_null_not_nan(self, workspace, tmp_path, capsys):
+        metrics = tmp_path / "metrics.jsonl"
+        rc = main([
+            "train", "--config", str(workspace["config"]),
+            "--sources", str(_domain_0_only(workspace, tmp_path / "d0.txt")),
+            "--metrics-out", str(metrics),
+        ])
+        assert rc == 0
+        final = _strict_json(metrics.read_text().splitlines()[-1])
+        assert final["kind"] == "final"
+        acc0, acc1 = final["source_accuracy"]
+        assert acc1 is None
+        assert f"source accuracy per domain: {acc0:.4f} n/a" in capsys.readouterr().out
 
     def test_flag_overrides_config_epochs(self, workspace, tmp_path):
         metrics = tmp_path / "metrics.jsonl"
@@ -223,6 +259,16 @@ class TestEval:
         assert record["accuracy"] == expected.accuracy
         assert record["per_domain"] == expected.per_domain
         assert "overall accuracy" in capsys.readouterr().out
+
+    def test_domain_without_rows_is_null_not_nan(self, workspace, model, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        data = _domain_0_only(workspace, tmp_path / "d0.txt")
+        rc = main(["eval", "--model", str(model), "--data", str(data), "--out", str(out)])
+        assert rc == 0
+        record = _strict_json(out.read_text())
+        assert record["per_domain"][1] is None
+        assert record["per_domain"][0] is not None
+        assert "domain 1 accuracy: n/a" in capsys.readouterr().out
 
     def test_empty_dataset_is_contract_failure(self, model, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 import lddg.experiments
+import lddg.linalg
 import lddg.model
+import lddg.regularizers
+import lddg.theory
 from lddg.data import DomainDataset, SyntheticConfig, generate_synthetic
 from lddg.experiments import (
+    _LR_DECAY_FACTOR,
     ABLATION_CELLS,
     ablate_components,
     evaluate,
@@ -51,7 +55,7 @@ class TestTrain:
         assert len(result.epochs) == 3
         assert [r.epoch for r in result.epochs] == [0, 1, 2]
         lr0 = TINY_TRAIN.learning_rate
-        expected_lr = [lr0, lr0, lr0 / TINY_TRAIN.lr_decay_factor]
+        expected_lr = [lr0, lr0, lr0 / _LR_DECAY_FACTOR]
         np.testing.assert_allclose([r.lr for r in result.epochs], expected_lr)
         assert result.wall_time_s > 0.0
         assert result.source_accuracy is None
@@ -138,6 +142,32 @@ class TestCallsPerStep:
         assert counts["rank_loss"] == steps
         assert "evaluate" not in counts
 
+    def test_one_svd_per_step_when_logging_the_spectrum(self, tiny, monkeypatch):
+        # the epoch's spectrum is read off the penalty's SVD of the last batch
+        sources, _ = tiny
+        cfg = replace(TINY_TRAIN, log_singular_values=True)
+        counts = {}
+        for module in (lddg.linalg, lddg.regularizers, lddg.theory):
+            _count_calls(monkeypatch, module, "svd", counts)
+        _count_calls(monkeypatch, lddg.model, "rank_loss", counts)
+        _count_calls(monkeypatch, lddg.experiments, "adam_step", counts)
+        _, result = train(cfg, sources)
+        steps = counts["adam_step"]
+        assert steps == cfg.epochs * 4
+        assert counts["svd"] == steps
+        assert counts["rank_loss"] == steps
+        assert all(len(rec.singular_values) == 6 for rec in result.epochs)
+
+    def test_inert_penalty_still_records_the_spectrum(self, tiny):
+        # one row per domain: 2-row batches never exceed rank C = 2
+        sources, _ = tiny
+        cfg = replace(TINY_TRAIN, batch_per_domain=1, log_singular_values=True)
+        _, result = train(cfg, sources)
+        for rec in result.epochs:
+            assert rec.rank == 0.0
+            sv = rec.singular_values
+            assert len(sv) == 2 and sv[0] >= sv[1] > 0.0
+
     def test_study_scores_each_member_once(self, tiny, monkeypatch):
         sources, target = tiny
         counts = {}
@@ -211,14 +241,39 @@ class TestAblation:
         with pytest.raises(ValueError, match="unknown"):
             ablate_components(TINY_TRAIN, sources, target, cells=("bogus",))
 
-    def test_empty_target_raises(self, tiny):
+    def test_empty_target_raises(self, tiny, monkeypatch):
         sources, _ = tiny
         empty = DomainDataset(
             num_domains=1, num_classes=2, feature_dim=8,
             features=np.zeros((0, 8)), labels=[], domain_ids=[],
         )
+        counts = {}
+        _count_calls(monkeypatch, lddg.experiments, "train", counts)
         with pytest.raises(ValueError, match="no records"):
             ablate_components(TINY_TRAIN, sources, empty, seeds=(0,), cells=("none",))
+        with pytest.raises(ValueError, match="no records"):
+            sweep_rank(TINY_TRAIN, sources, empty, ranks=(1,), seeds=(0,))
+        assert "train" not in counts  # rejected before the first member trains
+
+    @pytest.mark.parametrize(
+        "feature_dim, num_classes, message",
+        [(9, 2, "8-dim inputs.*feature_dim=9"), (8, 3, "3 classes.*only 2")],
+    )
+    def test_mismatched_target_raises_before_training(
+        self, tiny, monkeypatch, feature_dim, num_classes, message
+    ):
+        sources, _ = tiny
+        bad = DomainDataset(
+            num_domains=1, num_classes=num_classes, feature_dim=feature_dim,
+            features=np.zeros((1, feature_dim)), labels=[0], domain_ids=[0],
+        )
+        counts = {}
+        _count_calls(monkeypatch, lddg.experiments, "train", counts)
+        with pytest.raises(ValueError, match=message):
+            ablate_components(TINY_TRAIN, sources, bad, seeds=(0,), cells=("none",))
+        with pytest.raises(ValueError, match=message):
+            sweep_rank(TINY_TRAIN, sources, bad, ranks=(1,), seeds=(0,))
+        assert "train" not in counts
 
     def test_none_cell_ignores_base_lambdas(self, tiny):
         # The 'none' cell zeroes both penalty weights, so the base config's
