@@ -4,9 +4,12 @@ Subcommands: gen-data, train, eval, verify, sweep-rank, ablate.  Every
 command but eval accepts ``--config``, a JSON file with up to three
 sections: ``synthetic`` and ``train`` mirror ``SyntheticConfig`` and
 ``TrainConfig``, and ``outputs`` holds default paths under the keys
-sources, target, model, metrics, table and report.  Explicit flags override
+sources, target, model, metrics, table and report.  JSON lists become
+tuples; any other value goes to the dataclass as it is, which rejects a
+wrong type or an out-of-range value by name.  Explicit flags override
 config-file values, which override built-in defaults.  Unknown sections or
-keys are rejected rather than ignored.
+keys are rejected rather than ignored.  sweep-rank and ablate are one
+command body (``cmd_study``) over two studies that share one training loop.
 
 Exit codes: 0 on success, 1 when a command's contract fails (unreadable or
 malformed data, non-finite loss, a bound trial violated, ...), 2 for usage
@@ -42,17 +45,12 @@ class UsageError(Exception):
     """Bad flags or bad config content; maps to exit code 2."""
 
 
-_OUTPUT_KEYS = {"sources", "target", "model", "metrics", "table", "report"}
-
-
-def _allowed_keys(section: str):
-    if section == "synthetic":
-        return {f.name for f in dataclasses.fields(SyntheticConfig)}
-    if section == "train":
-        return {f.name for f in dataclasses.fields(TrainConfig)}
-    if section == "outputs":
-        return _OUTPUT_KEYS
-    return None
+# config section -> the keys it may hold
+_SECTIONS = {
+    "synthetic": {f.name for f in dataclasses.fields(SyntheticConfig)},
+    "train": {f.name for f in dataclasses.fields(TrainConfig)},
+    "outputs": {"sources", "target", "model", "metrics", "table", "report"},
+}
 
 
 def load_config(path):
@@ -69,7 +67,7 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise UsageError(f"{path}: config must be a JSON object")
     for section, values in raw.items():
-        allowed = _allowed_keys(section)
+        allowed = _SECTIONS.get(section)
         if allowed is None:
             raise UsageError(f"{path}: unknown config section {section!r}")
         if not isinstance(values, dict):
@@ -82,29 +80,21 @@ def load_config(path):
     return raw
 
 
-def _synthetic_config(raw, args) -> SyntheticConfig:
-    kwargs = dict(raw.get("synthetic", {}))
-    for key in ("domain_scales", "target_mixture"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    cfg = SyntheticConfig(**kwargs)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
+def _config(cls, section, raw, args):
+    """``cls`` built from the config's ``section``, then overridden by flags.
 
-
-def _train_config(raw, args) -> TrainConfig:
-    kwargs = dict(raw.get("train", {}))
-    if "encoder_dims" in kwargs:
-        kwargs["encoder_dims"] = tuple(kwargs["encoder_dims"])
-    cfg = TrainConfig(**kwargs)
-    # every training flag's dest is its TrainConfig field; an unset flag is None
+    JSON lists become tuples; every other value goes to ``cls`` as it is,
+    whose own checks reject a wrong type.  A flag overrides the field its
+    dest names when it is set (an unset flag is None).
+    """
+    kwargs = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in raw.get(section, {}).items()}
     overrides = {
         f.name: getattr(args, f.name)
-        for f in dataclasses.fields(TrainConfig)
+        for f in dataclasses.fields(cls)
         if getattr(args, f.name, None) is not None
     }
-    return dataclasses.replace(cfg, **overrides)
+    return dataclasses.replace(cls(**kwargs), **overrides)
 
 
 def _resolve_out(flag_value, raw, key, required=True):
@@ -138,7 +128,7 @@ def _parse_int_list(text, what):
 
 def cmd_gen_data(args) -> int:
     raw = load_config(args.config)
-    cfg = _synthetic_config(raw, args)
+    cfg = _config(SyntheticConfig, "synthetic", raw, args)
     out_sources = _resolve_out(args.out_sources, raw, "sources")
     out_target = _resolve_out(args.out_target, raw, "target")
     sources, target = generate_synthetic(cfg)
@@ -151,7 +141,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     raw = load_config(args.config)
-    cfg = _train_config(raw, args)
+    cfg = _config(TrainConfig, "train", raw, args)
     sources = load_dataset(args.sources)
     params, result = train(cfg, sources)
     result.source_accuracy = evaluate(params, sources).per_domain
@@ -267,42 +257,40 @@ def _write_table(path, header, rows):
         emit(sys.stdout)
 
 
-def cmd_sweep_rank(args) -> int:
-    raw = load_config(args.config)
-    cfg = _train_config(raw, args)
+def _ranks(args):
+    """The sweep's ``ranks``; a repeated rank is a usage error."""
     ranks = _parse_int_list(args.ranks, "rank")
     if len(set(ranks)) != len(ranks):
         raise UsageError(f"duplicate rank values: {args.ranks}")
-    seeds = _parse_int_list(args.seeds, "seed")
-    sources = load_dataset(args.sources)
-    target = load_dataset(args.target)
-    rows = sweep_rank(cfg, sources, target, ranks, seeds)
-    header = ["rank", "mean", "std"] + [f"acc_seed{s}" for s in seeds]
-    table = [[r.rank, f"{r.mean:.6f}", f"{r.std:.6f}"]
-             + [f"{a:.6f}" for a in r.accuracies] for r in rows]
-    _write_table(_resolve_out(args.out, raw, "table", required=False), header, table)
-    best = max(rows, key=lambda r: r.mean)
-    print(f"best mean accuracy {best.mean:.4f} at rank {best.rank}")
-    return 0
+    return {"ranks": ranks}
 
 
-def cmd_ablate(args) -> int:
-    raw = load_config(args.config)
-    cfg = _train_config(raw, args)
+def _cells(args):
+    """The ablation's ``cells`` (None: all of them); an unknown cell is a usage error."""
     cells = [tok.strip() for tok in args.cells.split(",")] if args.cells else None
-    if cells is not None:
-        known = {c[0] for c in ABLATION_CELLS}
-        bad = [c for c in cells if c not in known]
-        if bad:
-            raise UsageError(f"unknown ablation cells: {', '.join(bad)}")
+    bad = [c for c in cells or () if c not in {cell[0] for cell in ABLATION_CELLS}]
+    if bad:
+        raise UsageError(f"unknown ablation cells: {', '.join(bad)}")
+    return {"cells": cells}
+
+
+def cmd_study(args) -> int:
+    """sweep-rank and ablate: ``args.study`` over the variants that
+    ``args.variants`` reads, as a CSV table keyed by the row's ``args.key``."""
+    raw = load_config(args.config)
+    cfg = _config(TrainConfig, "train", raw, args)
+    variants = args.variants(args)
     seeds = _parse_int_list(args.seeds, "seed")
     sources = load_dataset(args.sources)
     target = load_dataset(args.target)
-    rows = ablate_components(cfg, sources, target, seeds, cells)
-    header = ["cell", "mean", "std"] + [f"acc_seed{s}" for s in seeds]
-    table = [[r.cell, f"{r.mean:.6f}", f"{r.std:.6f}"]
+    rows = args.study(cfg, sources, target, seeds=seeds, **variants)
+    header = [args.key, "mean", "std"] + [f"acc_seed{s}" for s in seeds]
+    table = [[getattr(r, args.key), f"{r.mean:.6f}", f"{r.std:.6f}"]
              + [f"{a:.6f}" for a in r.accuracies] for r in rows]
     _write_table(_resolve_out(args.out, raw, "table", required=False), header, table)
+    if args.key == "rank":
+        best = max(rows, key=lambda r: r.mean)
+        print(f"best mean accuracy {best.mean:.4f} at rank {best.rank}")
     return 0
 
 
@@ -364,28 +352,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write per-trial records to this JSONL path")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep-rank", help="sweep the rank target and tabulate accuracy")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--sources", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--ranks", default="1,2,3,4,5,6,7,8")
-    p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--out", help="CSV output path (stdout when omitted)")
-    _add_train_overrides(p)
-    p.set_defaults(func=cmd_sweep_rank)
-
-    p = sub.add_parser("ablate", help="train every regularizer combination")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--sources", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--cells", help="comma-separated subset of: "
-                   + ",".join(c[0] for c in ABLATION_CELLS))
-    p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--out", help="CSV output path (stdout when omitted)")
-    _add_train_overrides(p)
-    p.set_defaults(func=cmd_ablate)
+    _add_study(sub, "sweep-rank", "sweep the rank target and tabulate accuracy",
+               "--ranks", {"default": "1,2,3,4,5,6,7,8"},
+               study=sweep_rank, key="rank", variants=_ranks)
+    _add_study(sub, "ablate", "train every regularizer combination",
+               "--cells", {"help": "comma-separated subset of: "
+                           + ",".join(c[0] for c in ABLATION_CELLS)},
+               study=ablate_components, key="cell", variants=_cells)
 
     return parser
+
+
+def _add_study(sub, name, help_text, variant_flag, variant_kwargs, **defaults):
+    """One study subcommand; ``defaults`` tell cmd_study which study it runs."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--sources", required=True)
+    p.add_argument("--target", required=True)
+    p.add_argument(variant_flag, **variant_kwargs)
+    p.add_argument("--seeds", default="0,1,2,3,4")
+    p.add_argument("--out", help="CSV output path (stdout when omitted)")
+    _add_train_overrides(p)
+    p.set_defaults(func=cmd_study, **defaults)
 
 
 def _add_train_overrides(p):

@@ -8,19 +8,19 @@ map built from orthonormal columns times per-coordinate scalings in
 [0.5, 2.0], plus a translation.
 
 The maps are not arbitrary rotations: every domain's map mixes a block
-shared by all domains with a domain-private block, with a configurable
-mixing angle.  At angle 0 all domains (and the held-out target) use the same
-embedding, so generalization is trivial; as the angle grows, more of each
-domain's energy moves into its private block and the target domain (whose
-private block is freshly drawn) becomes genuinely out of distribution.  The
-target's per-coordinate scalings and offset are mixture-weighted combinations
-of the source ones, so the target stays inside the family described by the
-mixture weights.
+shared by all domains with a domain-private block, at a fixed mixing angle
+of 55 degrees.  At angle 0 all domains (and the held-out target) would use
+the same embedding, so generalization would be trivial; as the angle grows,
+more of each domain's energy moves into its private block and the target
+domain (whose private block is freshly drawn) becomes genuinely out of
+distribution.  The target's per-coordinate scalings and offset are
+mixture-weighted combinations of the source ones, so the target stays inside
+the family described by the mixture weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,9 @@ _STREAM_SOURCE_DRAWS = 5
 _STREAM_TARGET_DRAWS = 6
 _STREAM_BATCH = 3       # with (seed, epoch): batch shuffling
 
+_NORM_BOUND = 1.0        # bound M that ||target_mixture||_1 must respect
+_MIXING_ANGLE_DEG = 55.0  # 0 = shared embedding block only, 90 = private only
+
 
 @dataclass
 class SyntheticConfig:
@@ -59,9 +62,7 @@ class SyntheticConfig:
     domain_scales           : per-domain latent scale alpha_k (length K)
     noise_std               : isotropic latent noise
     target_mixture          : mixture weights beta over sources for the target
-    norm_bound              : bound M that ||beta||_1 must respect
-    mixing_angle_deg        : 0 = target uses the shared embedding block only;
-                              90 = entirely domain-private blocks
+                              (||beta||_1 <= 1)
     offset_scale            : scale of each domain's feature-space translation
     seed                    : master seed (all randomness derives from it)
     """
@@ -72,11 +73,9 @@ class SyntheticConfig:
     latent_dim_true: int = 8
     samples_per_domain_class: int = 50
     target_samples_per_class: int = 400
-    domain_scales: tuple = (1.0, 1.3, 0.8)
+    domain_scales: tuple[float, ...] = (1.0, 1.3, 0.8)
     noise_std: float = 0.05
-    target_mixture: tuple = (0.4, 0.3, 0.3)
-    norm_bound: float = 1.0
-    mixing_angle_deg: float = 55.0
+    target_mixture: tuple[float, ...] = (0.4, 0.3, 0.3)
     offset_scale: float = 0.3
     seed: int = 0
 
@@ -130,12 +129,6 @@ def _orthonormal_columns(rng, rows: int, cols: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _haar_rotation(rng, n: int) -> np.ndarray:
-    """Haar-distributed orthogonal n x n matrix."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
-
-
 def _validate_config(cfg: SyntheticConfig):
     if cfg.num_domains < 1 or cfg.num_classes < 2:
         raise ValueError("need at least 1 domain and 2 classes")
@@ -157,17 +150,14 @@ def _validate_config(cfg: SyntheticConfig):
     beta = np.asarray(cfg.target_mixture, dtype=np.float64)
     if np.any(beta < 0.0):
         raise ValueError("target_mixture weights must be non-negative")
-    if float(np.sum(beta)) > cfg.norm_bound + 1e-12:
+    if float(np.sum(beta)) > _NORM_BOUND + 1e-12:
         raise ValueError(
-            f"||target_mixture||_1 = {float(np.sum(beta)):.6g} exceeds "
-            f"norm_bound = {cfg.norm_bound}"
+            f"||target_mixture||_1 = {float(np.sum(beta)):.6g} exceeds {_NORM_BOUND}"
         )
     if float(np.sum(beta)) <= 0.0:
         raise ValueError("target_mixture must have positive total mass")
     if cfg.noise_std < 0.0:
         raise ValueError("noise_std must be non-negative")
-    if not 0.0 <= cfg.mixing_angle_deg <= 90.0:
-        raise ValueError("mixing_angle_deg must lie in [0, 90]")
     if cfg.samples_per_domain_class < 1 or cfg.target_samples_per_class < 1:
         raise ValueError("samples per class must be >= 1")
 
@@ -190,7 +180,7 @@ def generate_synthetic(cfg: SyntheticConfig):
     _validate_config(cfg)
     k_dom, n_cls = cfg.num_domains, cfg.num_classes
     ld, fd = cfg.latent_dim_true, cfg.feature_dim
-    angle = np.deg2rad(cfg.mixing_angle_deg)
+    angle = np.deg2rad(_MIXING_ANGLE_DEG)
 
     rng_shared = np.random.default_rng([cfg.seed, _STREAM_SHARED])
     directions = _orthonormal_columns(rng_shared, ld, n_cls)
@@ -200,7 +190,7 @@ def generate_synthetic(cfg: SyntheticConfig):
     maps, offsets, scale_rows = [], [], []
     for k in range(k_dom):
         rng_k = np.random.default_rng([cfg.seed, _STREAM_DOMAIN + k])
-        rot = _haar_rotation(rng_k, ld)
+        rot = _orthonormal_columns(rng_k, ld, ld)
         scales = rng_k.uniform(0.5, 2.0, size=ld)
         off = cfg.offset_scale * rng_k.standard_normal(fd)
         maps.append(_domain_map(u_shared, u_private, rot, scales, angle))
@@ -210,7 +200,7 @@ def generate_synthetic(cfg: SyntheticConfig):
     beta = np.asarray(cfg.target_mixture, dtype=np.float64)
     w = beta / np.sum(beta)
     rng_t = np.random.default_rng([cfg.seed, _STREAM_TARGET_MAP])
-    rot_t = _haar_rotation(rng_t, ld)
+    rot_t = _orthonormal_columns(rng_t, ld, ld)
     # geometric mean keeps target scales inside [0.5, 2.0]
     scales_t = np.exp(sum(wj * np.log(s) for wj, s in zip(w, scale_rows)))
     off_t = sum(wj * o for wj, o in zip(w, offsets))

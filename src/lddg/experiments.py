@@ -7,6 +7,7 @@ pins the entire metrics trajectory bit-for-bit.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -36,6 +37,8 @@ __all__ = [
     "sweep_rank",
     "ABLATION_CELLS",
 ]
+
+logger = logging.getLogger(__name__)
 
 _STREAM_INIT = 1
 _STREAM_NOISE = 2
@@ -85,7 +88,9 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     Per epoch the learning rate is ``learning_rate / 10 ** (epoch //
     lr_decay_every)``.  With ``log_singular_values`` each epoch record
     keeps the top singular values of its last latent batch, read from the
-    rank penalty's SVD.  A non-finite loss aborts immediately with
+    rank penalty's SVD.  The first step on which that penalty is inert (the
+    batch has at most C singular values) logs one warning naming its epoch,
+    batch and shape.  A non-finite loss aborts immediately with
     the epoch and batch named, rather than letting Adam ride a NaN.  The
     returned params are views of the run's Adam vector.  Nothing is scored:
     the result's accuracies stay None.  Sources with no records raise
@@ -98,6 +103,8 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     params = init_params(sources.feature_dim, sources.num_classes, cfg, rng_init)
     state = AdamState.for_params(params)
     rng_noise = np.random.default_rng([cfg.seed, _STREAM_NOISE])
+    rank_c = cfg.rank_target or sources.num_classes
+    warn_inert = cfg.regularizer == "rank"
 
     records = []
     for epoch in range(cfg.epochs):
@@ -115,6 +122,12 @@ def train(cfg: TrainConfig, sources: DomainDataset):
                     f"non-finite loss at epoch {epoch}, batch {b_idx}: "
                     f"parts={parts}"
                 )
+            if warn_inert and trace.sigma.size <= rank_c:
+                logger.warning(
+                    "rank penalty inert from epoch %d, batch %d: latent batch %s "
+                    "has at most %d singular values", epoch, b_idx, trace.z.shape, rank_c,
+                )
+                warn_inert = False
             grads = backward(params, trace, y, cfg)
             adam_step(params, grads, state, lr, cfg.weight_decay)
             for key in sums:
@@ -202,9 +215,19 @@ ABLATION_CELLS = (
 )
 
 
-def _run_cell(cfg: TrainConfig, sources, target):
-    params, _ = train(cfg, sources)
-    return evaluate(params, target).accuracy
+def _study(base_cfg, sources, target, members, seeds, row):
+    """The one loop of both studies: for each ``(key, overrides)`` member,
+    then each seed, train ``replace(base_cfg, seed=seed, **overrides)`` and
+    score it once on the target.  Returns ``row(key, accuracies, mean, std)``
+    per member (population std)."""
+    rows = []
+    for key, overrides in members:
+        accs = []
+        for seed in seeds:
+            params, _ = train(replace(base_cfg, seed=seed, **overrides), sources)
+            accs.append(evaluate(params, target).accuracy)
+        rows.append(row(key, accs, float(np.mean(accs)), float(np.std(accs))))
+    return rows
 
 
 def ablate_components(
@@ -216,39 +239,27 @@ def ablate_components(
 ):
     """Train every regularizer combination over the seeds.
 
-    Returns rows in fixed cell order; each row carries per-seed target
+    Returns one AblationRow per cell, in the requested order (all of
+    ABLATION_CELLS by default); each row carries per-seed target
     accuracies plus their mean and (population) standard deviation.  The
     'nuclear' cells swap the sigma_{C+1} penalty for the nuclear norm at the
-    same lambda1, which is the classical low-rank baseline.
+    same lambda1, which is the classical low-rank baseline.  An unknown
+    cell, or a target the model could not score, raises ``ValueError``
+    before any training.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
-    wanted = list(cells) if cells is not None else [c[0] for c in ABLATION_CELLS]
-    by_name = {c[0]: c for c in ABLATION_CELLS}
-    unknown = [w for w in wanted if w not in by_name]
+    overrides = {
+        name: {"lambda1": base_cfg.lambda1 if l1 is None else l1,
+               "lambda2": base_cfg.lambda2 if l2 is None else l2,
+               "regularizer": reg}
+        for name, l1, l2, reg in ABLATION_CELLS
+    }
+    wanted = list(overrides) if cells is None else list(cells)
+    unknown = [w for w in wanted if w not in overrides]
     if unknown:
         raise ValueError(f"unknown ablation cells: {unknown}")
-    rows = []
-    for name in wanted:
-        _, l1, l2, reg = by_name[name]
-        accs = []
-        for seed in seeds:
-            cfg = replace(
-                base_cfg,
-                lambda1=base_cfg.lambda1 if l1 is None else l1,
-                lambda2=base_cfg.lambda2 if l2 is None else l2,
-                regularizer=reg,
-                seed=seed,
-            )
-            accs.append(_run_cell(cfg, sources, target))
-        rows.append(
-            AblationRow(
-                cell=name,
-                accuracies=accs,
-                mean=float(np.mean(accs)),
-                std=float(np.std(accs)),
-            )
-        )
-    return rows
+    members = [(name, overrides[name]) for name in wanted]
+    return _study(base_cfg, sources, target, members, seeds, AblationRow)
 
 
 def sweep_rank(
@@ -260,9 +271,11 @@ def sweep_rank(
 ):
     """Vary the rank target and measure target accuracy per seed.
 
-    Rank values must be distinct and lie in [1, min(batch rows, latent_dim) - 1],
-    otherwise the penalty is structurally zero and the sweep point is
-    meaningless; that misuse is rejected up front.
+    Returns one SweepRow per rank, in the given order.  Rank values must be
+    distinct and lie in [1, min(batch rows, latent_dim) - 1], otherwise the
+    penalty is structurally zero and the sweep point is meaningless; that
+    misuse, like a target the model could not score, raises ``ValueError``
+    before any training.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     ranks = list(ranks)
@@ -274,18 +287,5 @@ def sweep_rank(
     bad = [r for r in ranks if not 1 <= r <= hi]
     if bad:
         raise ValueError(f"rank values {bad} outside [1, {hi}]")
-    rows = []
-    for rank in ranks:
-        accs = []
-        for seed in seeds:
-            cfg = replace(base_cfg, rank_target=rank, seed=seed)
-            accs.append(_run_cell(cfg, sources, target))
-        rows.append(
-            SweepRow(
-                rank=rank,
-                accuracies=accs,
-                mean=float(np.mean(accs)),
-                std=float(np.std(accs)),
-            )
-        )
-    return rows
+    members = [(rank, {"rank_target": rank}) for rank in ranks]
+    return _study(base_cfg, sources, target, members, seeds, SweepRow)

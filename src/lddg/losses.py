@@ -17,27 +17,21 @@ __all__ = [
 def cross_entropy_softmax(logits, label: int):
     """Softmax cross-entropy of one sample: ``LSE(logits) - logits[label]``.
 
-    Returns ``(value, grad)`` where ``grad = softmax(logits) - onehot``.
+    Returns ``(value, grad)`` where ``grad = softmax(logits) - onehot``; it
+    is ``batch_mean`` of the one-row batch.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1:
         raise ValueError("cross_entropy_softmax expects 1-D logits")
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    m = np.max(logits)
-    exps = np.exp(logits - m)
-    total = np.sum(exps)
-    value = float(m + np.log(total) - logits[label])
-    grad = exps / total
-    grad[label] -= 1.0
-    return value, grad
+    value, grad = batch_mean(logits[None, :], [label])
+    return value, grad[0]
 
 
 def batch_mean(logits, labels):
     """Mean cross-entropy over a batch of logits rows, with the mean's gradient.
 
     logits : (n, C) matrix
-    labels : (n,) integer class indices
+    labels : (n,) integer class indices in [0, C)
 
     ``grad`` is the gradient of the *mean*, i.e. already divided by n.
     """
@@ -50,6 +44,8 @@ def batch_mean(logits, labels):
         raise ValueError("batch_mean needs at least one sample")
     if labels.shape != (n,):
         raise ValueError(f"labels shape {labels.shape} does not match {n} rows")
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+        raise ValueError(f"labels out of range for {logits.shape[1]} classes")
     m = np.max(logits, axis=1, keepdims=True)
     exps = np.exp(logits - m)
     total = np.sum(exps, axis=1, keepdims=True)

@@ -107,14 +107,17 @@ class TrainConfig:
     seed: int = 0
     rank_target: int | None = None
     regularizer: str = "rank"
-    encoder_dims: tuple = (32, 32)
+    encoder_dims: tuple[int, ...] = (32, 32)
     head_hidden_dim: int = 32
     log_singular_values: bool = False
 
     def __post_init__(self):
         check_field_types(self)
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.encoder_dims:
+            raise ValueError("encoder_dims must list at least one layer width")
+        for name in ("epochs", "lr_decay_every", "latent_dim", "head_hidden_dim", "encoder_dims"):
+            if np.min(getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.regularizer not in ("rank", "nuclear"):
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.learning_rate <= 0:

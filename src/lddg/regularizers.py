@@ -10,7 +10,6 @@ Frobenius norm when the value is positive.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "kl_standard_normal",
     "reparameterize",
 ]
-
-logger = logging.getLogger(__name__)
 
 LOG_VAR_MIN = -30.0
 LOG_VAR_MAX = 30.0
@@ -71,20 +68,15 @@ def rank_loss(z, num_classes: int) -> RankLossResult:
     Returns value ``sigma_{C+1}`` (1-indexed, i.e. the first singular value
     beyond a rank-C fit), subgradient ``u_{C+1} v_{C+1}^T`` and all of
     sigma, from one SVD of z.  When ``min(n, d) <= C`` the batch can never
-    exceed rank C, so the value is 0 with a zero subgradient (sigma is
-    still returned); a warning is logged because a batch that small makes
-    the penalty inert.
+    exceed rank C, so the penalty is inert: the value is 0 with a zero
+    subgradient, and sigma is still returned.  Nothing is logged here;
+    ``train`` warns once per run.
     """
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     res = svd(z)
     if res.sigma.size <= num_classes:
         shape = (res.u.shape[0], res.v.shape[0])
-        logger.warning(
-            "rank_loss inert: batch shape %s has min dim <= num_classes=%d",
-            shape,
-            num_classes,
-        )
         return RankLossResult(value=0.0, subgradient=np.zeros(shape), sigma=res.sigma)
     value = float(res.sigma[num_classes])
     sub = np.outer(res.u[:, num_classes], res.v[:, num_classes])

@@ -99,6 +99,7 @@ class TestGenData:
         bad = tmp_path / "bad.json"
         for section, key in (
             ("synthetic", "num_classez"),
+            ("synthetic", "norm_bound"),
             ("train", "rank_mode"),
             ("train", "lr_decay_factor"),
         ):
@@ -211,6 +212,34 @@ class TestTrain:
         ])
         assert rc == 1
         assert "lambda1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("train", "encoder_dims", 32),
+            ("synthetic", "domain_scales", 1.0),
+            ("train", "log_singular_values", "false"),
+            ("train", "encoder_dims", [0]),
+            ("train", "head_hidden_dim", 0),
+            ("train", "latent_dim", 0),
+            ("train", "encoder_dims", []),
+        ],
+    )
+    def test_config_value_of_the_wrong_shape_names_the_key(
+        self, workspace, tmp_path, capsys, section, key, value
+    ):
+        config = tmp_path / "config.json"
+        base = TINY_SYNTH if section == "synthetic" else TINY_TRAIN
+        config.write_text(json.dumps({section: {**base, key: value}}))
+        if section == "synthetic":
+            argv = ["gen-data", "--out-sources", str(tmp_path / "s"),
+                    "--out-target", str(tmp_path / "t")]
+        else:
+            argv = ["train", "--sources", str(workspace["sources"]),
+                    "--model-out", str(tmp_path / "m.ckpt")]
+        rc = main(argv + ["--config", str(config)])
+        assert rc == 1
+        assert key in capsys.readouterr().err
 
     def test_missing_sources_file(self, workspace, capsys):
         rc = main([

@@ -1,5 +1,6 @@
 """Tests for the training harness, evaluation, and the study harnesses."""
 
+import logging
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -99,6 +100,15 @@ class TestTrain:
             assert all(a >= b - 1e-12 for a, b in zip(sv, sv[1:]))
         _, plain = train(TINY_TRAIN, sources)
         assert all(rec.singular_values is None for rec in plain.epochs)
+
+    def test_inert_penalty_warns_once_per_run(self, caplog):
+        # default data, one row per domain: every 3-row batch is inert at C = 4
+        sources, _ = generate_synthetic(SyntheticConfig())
+        with caplog.at_level(logging.WARNING):
+            train(TrainConfig(epochs=5, batch_per_domain=1), sources)
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "epoch 0, batch 0" in message and "(3, 16)" in message
 
     def test_non_finite_loss_aborts_with_location(self, tiny):
         sources, _ = tiny
@@ -274,6 +284,25 @@ class TestAblation:
         with pytest.raises(ValueError, match=message):
             sweep_rank(TINY_TRAIN, sources, bad, ranks=(1,), seeds=(0,))
         assert "train" not in counts
+
+    def test_members_train_cell_by_cell_then_seed(self, tiny, monkeypatch):
+        sources, target = tiny
+        trained = []
+        original = lddg.experiments.train
+
+        def recording(cfg, data):
+            trained.append(cfg)
+            return original(cfg, data)
+
+        monkeypatch.setattr(lddg.experiments, "train", recording)
+        base = replace(TINY_TRAIN, epochs=1)
+        ablate_components(base, sources, target, seeds=(3, 1), cells=("kl", "nuclear"))
+        assert trained == [
+            replace(base, lambda1=0.0, seed=3),
+            replace(base, lambda1=0.0, seed=1),
+            replace(base, lambda2=0.0, regularizer="nuclear", seed=3),
+            replace(base, lambda2=0.0, regularizer="nuclear", seed=1),
+        ]
 
     def test_none_cell_ignores_base_lambdas(self, tiny):
         # The 'none' cell zeroes both penalty weights, so the base config's

@@ -61,14 +61,18 @@ class TestBatchMean:
         logits = rng.uniform(-3.0, 3.0, (8, 4))
         labels = rng.integers(0, 4, 8)
         value, grad = batch_mean(logits, labels)
-        singles = []
-        grads = np.zeros_like(logits)
-        for i in range(8):
-            v, g = cross_entropy_softmax(logits[i], int(labels[i]))
-            singles.append(v)
-            grads[i] = g / 8.0
+        lse = logsumexp(logits, axis=1, keepdims=True)
+        singles = lse[:, 0] - logits[np.arange(8), labels]
+        expected = np.exp(logits - lse)
+        expected[np.arange(8), labels] -= 1.0
         np.testing.assert_allclose(value, np.mean(singles), atol=1e-12)
-        np.testing.assert_allclose(grad, grads, atol=1e-12)
+        np.testing.assert_allclose(grad, expected / 8.0, atol=1e-12)
+
+    def test_labels_out_of_range_rejected(self):
+        logits = np.array([[1.0, 2.0, 3.0]])
+        for label in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                batch_mean(logits, [label])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -383,7 +383,14 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("lambda1", "0.1"), ("epochs", 2.5), ("seed", True), ("rank_target", "3")],
+        [
+            ("lambda1", "0.1"), ("epochs", 2.5), ("seed", True), ("rank_target", "3"),
+            ("encoder_dims", 32), ("encoder_dims", [8]), ("encoder_dims", (8, True)),
+            ("log_singular_values", "false"), ("log_singular_values", 1),
+            # widths below 1 and an encoder without layers build no usable model
+            ("encoder_dims", ()), ("encoder_dims", (8, 0)), ("head_hidden_dim", 0),
+            ("latent_dim", 0), ("lr_decay_every", 0),
+        ],
     )
     def test_rejects_values_of_the_wrong_type(self, key, value):
         with pytest.raises(ValueError, match=key):

@@ -71,7 +71,8 @@ class TestRankLoss:
             res = rank_loss(z, num_classes=4)
         assert res.value == 0.0
         np.testing.assert_array_equal(res.subgradient, np.zeros((3, 8)))
-        assert any("rank" in rec.message.lower() for rec in caplog.records)
+        assert res.sigma.size == 3
+        assert not caplog.records  # train, not rank_loss, reports inert steps
 
     def test_boundary_dimension_is_inert(self):
         # min(n, d) == num_classes leaves no singular value to penalize.
