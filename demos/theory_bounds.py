@@ -10,7 +10,9 @@ second).
 
 import numpy as np
 
+from lddg.regularizers import GaussianPosterior
 from lddg.theory import (
+    TheoremTrial,
     make_mixture_kl_trial,
     make_risk_bound_trial,
     verify_mixture_kl_bound,
@@ -31,7 +33,10 @@ def main():
 
     # Degenerate sanity case: every source posterior IS the prior, so both
     # sides collapse to zero.
-    rep = verify_mixture_kl_bound(make_mixture_kl_trial(seed=1, all_prior=True))
+    prior = GaussianPosterior(mu=np.zeros((1, 1)), log_var=np.zeros((1, 1)))
+    trial = TheoremTrial(betas=np.array([0.5, 0.3, 0.2]), norm_bound=1.0,
+                         num_classes=2, label=0, source_posteriors=[prior] * 3)
+    rep = verify_mixture_kl_bound(trial)
     print(f"all-prior case: lhs = {rep.lhs:.2e}, rhs = {rep.rhs:.2e}")
 
     print("\ncombined risk bound: E[target CE] <= M * epsilon + log C")

@@ -11,6 +11,7 @@ _FIELD_TYPES = {
     "float": Real,
     "bool": bool,
     "int | None": (Integral, type(None)),
+    "str | None": (str, type(None)),
 }
 
 

@@ -4,12 +4,13 @@ Subcommands: gen-data, train, eval, verify, sweep-rank, ablate.  Every
 command but eval accepts ``--config``, a JSON file with up to three
 sections: ``synthetic`` and ``train`` mirror ``SyntheticConfig`` and
 ``TrainConfig``, and ``outputs`` holds default paths under the keys
-sources, target, model, metrics, table and report.  JSON lists become
-tuples; any other value goes to the dataclass as it is, which rejects a
-wrong type or an out-of-range value by name.  Explicit flags override
-config-file values, which override built-in defaults.  Unknown sections or
-keys are rejected rather than ignored.  sweep-rank and ablate are one
-command body (``cmd_study``) over two studies that share one training loop.
+sources, target, model, metrics, table and report (``_Outputs``).  Each
+section is checked by its dataclass, which rejects a wrong type or an
+out-of-range value by name; JSON lists become tuples for ``synthetic`` and
+``train``.  Explicit flags override config-file values, which override
+built-in defaults.  Unknown sections or keys are rejected rather than
+ignored.  sweep-rank and ablate are one command body (``cmd_study``) over
+two studies that share one training loop.
 
 Exit codes: 0 on success, 1 when a command's contract fails (unreadable or
 malformed data, non-finite loss, a bound trial violated, ...), 2 for usage
@@ -24,6 +25,7 @@ import dataclasses
 import json
 import sys
 
+from ._fields import check_field_types
 from .data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from .experiments import (
     ABLATION_CELLS,
@@ -45,38 +47,51 @@ class UsageError(Exception):
     """Bad flags or bad config content; maps to exit code 2."""
 
 
-# config section -> the keys it may hold
-_SECTIONS = {
-    "synthetic": {f.name for f in dataclasses.fields(SyntheticConfig)},
-    "train": {f.name for f in dataclasses.fields(TrainConfig)},
-    "outputs": {"sources", "target", "model", "metrics", "table", "report"},
-}
+@dataclasses.dataclass
+class _Outputs:
+    """The ``outputs`` section: default output paths, by command output."""
+
+    sources: str | None = None
+    target: str | None = None
+    model: str | None = None
+    metrics: str | None = None
+    table: str | None = None
+    report: str | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+
+
+# config section -> the dataclass whose fields are its keys
+_SECTIONS = {"synthetic": SyntheticConfig, "train": TrainConfig, "outputs": _Outputs}
 
 
 def load_config(path):
-    """Parse and validate a JSON config file into its raw sections."""
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: invalid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise UsageError(f"{path}: config must be a JSON object")
+    """Parse and validate a JSON config file into its raw sections, with
+    ``outputs`` as a type-checked ``_Outputs`` (empty without a file)."""
+    raw = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read config {path}: {exc}")
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"{path}: invalid JSON: {exc}")
+        if not isinstance(raw, dict):
+            raise UsageError(f"{path}: config must be a JSON object")
     for section, values in raw.items():
-        allowed = _SECTIONS.get(section)
-        if allowed is None:
+        cls = _SECTIONS.get(section)
+        if cls is None:
             raise UsageError(f"{path}: unknown config section {section!r}")
         if not isinstance(values, dict):
             raise UsageError(f"{path}: section {section!r} must be an object")
-        unknown = sorted(set(values) - allowed)
+        unknown = sorted(set(values) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise UsageError(
                 f"{path}: unknown keys in section {section!r}: {', '.join(unknown)}"
             )
+    raw["outputs"] = _Outputs(**raw.get("outputs", {}))
     return raw
 
 
@@ -100,7 +115,7 @@ def _config(cls, section, raw, args):
 def _resolve_out(flag_value, raw, key, required=True):
     if flag_value is not None:
         return flag_value
-    value = raw.get("outputs", {}).get(key)
+    value = getattr(raw["outputs"], key)
     if value is None and required:
         raise UsageError(f"no output path for {key!r}: pass a flag or set outputs.{key}")
     return value
@@ -144,10 +159,10 @@ def cmd_train(args) -> int:
     cfg = _config(TrainConfig, "train", raw, args)
     sources = load_dataset(args.sources)
     params, result = train(cfg, sources)
-    result.source_accuracy = evaluate(params, sources).per_domain
+    source_accuracy = evaluate(params, sources).per_domain
+    target_accuracy = None
     if args.target is not None:
-        target = load_dataset(args.target)
-        result.target_accuracy = evaluate(params, target).accuracy
+        target_accuracy = evaluate(params, load_dataset(args.target)).accuracy
     model_out = _resolve_out(args.model_out, raw, "model", required=False)
     metrics_out = _resolve_out(args.metrics_out, raw, "metrics", required=False)
     if model_out:
@@ -157,27 +172,19 @@ def cmd_train(args) -> int:
         with open(metrics_out, "w") as fh:
             for rec in result.epochs:
                 fh.write(json.dumps({"kind": "epoch", **dataclasses.asdict(rec)}) + "\n")
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "final",
-                        "source_accuracy": result.source_accuracy,
-                        "target_accuracy": result.target_accuracy,
-                        "wall_time_s": result.wall_time_s,
-                    }
-                )
-                + "\n"
-            )
+            final = {"kind": "final", "source_accuracy": source_accuracy,
+                     "target_accuracy": target_accuracy, "wall_time_s": result.wall_time_s}
+            fh.write(json.dumps(final) + "\n")
         print(f"wrote metrics {metrics_out}")
     last = result.epochs[-1]
     print(
         f"epoch {last.epoch}: total {last.total:.6f} "
         f"(cls {last.cls:.6f}, rank {last.rank:.6f}, kl {last.kl:.6f})"
     )
-    accs = " ".join(_fmt_acc(a, 4) for a in result.source_accuracy)
+    accs = " ".join(_fmt_acc(a, 4) for a in source_accuracy)
     print(f"source accuracy per domain: {accs}")
-    if result.target_accuracy is not None:
-        print(f"target accuracy: {result.target_accuracy:.4f}")
+    if target_accuracy is not None:
+        print(f"target accuracy: {target_accuracy:.4f}")
     return 0
 
 
@@ -207,7 +214,7 @@ def cmd_verify(args) -> int:
     for i in range(args.trials):
         try:
             if args.theorem == 1:
-                trial = make_mixture_kl_trial(args.seed, i, all_prior=args.all_prior)
+                trial = make_mixture_kl_trial(args.seed, i)
                 rep = verify_mixture_kl_bound(trial)
             else:
                 c = classes[i % len(classes)]
@@ -217,17 +224,7 @@ def cmd_verify(args) -> int:
             records.append({"trial": i, "satisfied": False, "error": str(exc)})
             failures += 1
             continue
-        records.append(
-            {
-                "trial": i,
-                "theorem": rep.theorem,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "tolerance": rep.tolerance,
-                "satisfied": rep.satisfied,
-                "detail": rep.detail,
-            }
-        )
+        records.append({"trial": i, **dataclasses.asdict(rep)})
         if not rep.satisfied:
             failures += 1
     lines = [json.dumps(r) for r in records]
@@ -347,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Monte-Carlo draws per trial (theorem 2)")
     p.add_argument("--classes", default="2,7",
                    help="class counts cycled across trials (theorem 2)")
-    p.add_argument("--all-prior", action="store_true",
-                   help="theorem 1 degenerate mode: every source equals the prior")
     p.add_argument("--report", help="write per-trial records to this JSONL path")
     p.set_defaults(func=cmd_verify)
 

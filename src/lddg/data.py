@@ -65,6 +65,9 @@ class SyntheticConfig:
                               (||beta||_1 <= 1)
     offset_scale            : scale of each domain's feature-space translation
     seed                    : master seed (all randomness derives from it)
+
+    Construction rejects a value of the wrong type, out of range or
+    inconsistent with another with a ``ValueError``, as ``TrainConfig`` does.
     """
 
     num_domains: int = 3
@@ -81,6 +84,36 @@ class SyntheticConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if self.num_domains < 1 or self.num_classes < 2:
+            raise ValueError("need at least 1 domain and 2 classes")
+        if self.latent_dim_true < self.num_classes:
+            raise ValueError(
+                f"latent_dim_true={self.latent_dim_true} cannot host "
+                f"{self.num_classes} class directions"
+            )
+        if self.feature_dim < 2 * self.latent_dim_true:
+            raise ValueError(
+                f"feature_dim={self.feature_dim} too small: the mixing construction "
+                f"needs a private block as wide as latent_dim_true, "
+                f"i.e. feature_dim >= {2 * self.latent_dim_true}"
+            )
+        if len(self.domain_scales) != self.num_domains:
+            raise ValueError("domain_scales length must equal num_domains")
+        if len(self.target_mixture) != self.num_domains:
+            raise ValueError("target_mixture length must equal num_domains")
+        beta = np.asarray(self.target_mixture, dtype=np.float64)
+        if np.any(beta < 0.0):
+            raise ValueError("target_mixture weights must be non-negative")
+        if float(np.sum(beta)) > _NORM_BOUND + 1e-12:
+            raise ValueError(
+                f"||target_mixture||_1 = {float(np.sum(beta)):.6g} exceeds {_NORM_BOUND}"
+            )
+        if float(np.sum(beta)) <= 0.0:
+            raise ValueError("target_mixture must have positive total mass")
+        if self.noise_std < 0.0:
+            raise ValueError("noise_std must be non-negative")
+        if self.samples_per_domain_class < 1 or self.target_samples_per_class < 1:
+            raise ValueError("samples per class must be >= 1")
 
 
 @dataclass
@@ -129,39 +162,6 @@ def _orthonormal_columns(rng, rows: int, cols: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _validate_config(cfg: SyntheticConfig):
-    if cfg.num_domains < 1 or cfg.num_classes < 2:
-        raise ValueError("need at least 1 domain and 2 classes")
-    if cfg.latent_dim_true < cfg.num_classes:
-        raise ValueError(
-            f"latent_dim_true={cfg.latent_dim_true} cannot host "
-            f"{cfg.num_classes} class directions"
-        )
-    if cfg.feature_dim < 2 * cfg.latent_dim_true:
-        raise ValueError(
-            f"feature_dim={cfg.feature_dim} too small: the mixing construction "
-            f"needs a private block as wide as latent_dim_true, "
-            f"i.e. feature_dim >= {2 * cfg.latent_dim_true}"
-        )
-    if len(cfg.domain_scales) != cfg.num_domains:
-        raise ValueError("domain_scales length must equal num_domains")
-    if len(cfg.target_mixture) != cfg.num_domains:
-        raise ValueError("target_mixture length must equal num_domains")
-    beta = np.asarray(cfg.target_mixture, dtype=np.float64)
-    if np.any(beta < 0.0):
-        raise ValueError("target_mixture weights must be non-negative")
-    if float(np.sum(beta)) > _NORM_BOUND + 1e-12:
-        raise ValueError(
-            f"||target_mixture||_1 = {float(np.sum(beta)):.6g} exceeds {_NORM_BOUND}"
-        )
-    if float(np.sum(beta)) <= 0.0:
-        raise ValueError("target_mixture must have positive total mass")
-    if cfg.noise_std < 0.0:
-        raise ValueError("noise_std must be non-negative")
-    if cfg.samples_per_domain_class < 1 or cfg.target_samples_per_class < 1:
-        raise ValueError("samples per class must be >= 1")
-
-
 def _domain_map(u_shared, u_private, rotation, scales, angle_rad):
     """Embedding matrix: mixed orthonormal columns times diagonal scalings."""
     cols = np.cos(angle_rad) * u_shared + np.sin(angle_rad) * (u_private @ rotation)
@@ -177,7 +177,6 @@ def generate_synthetic(cfg: SyntheticConfig):
     named streams, so e.g. requesting more target samples leaves the source
     data bit-identical.
     """
-    _validate_config(cfg)
     k_dom, n_cls = cfg.num_domains, cfg.num_classes
     ld, fd = cfg.latent_dim_true, cfg.feature_dim
     angle = np.deg2rad(_MIXING_ANGLE_DEG)
@@ -257,7 +256,6 @@ def true_latent_matrix(cfg: SyntheticConfig) -> np.ndarray:
     most C however many domains are stacked — the structural fact that makes
     a rank-C latent representation sufficient.
     """
-    _validate_config(cfg)
     rng_shared = np.random.default_rng([cfg.seed, _STREAM_SHARED])
     directions = _orthonormal_columns(rng_shared, cfg.latent_dim_true, cfg.num_classes)
     alphas = np.asarray(cfg.domain_scales, dtype=np.float64)

@@ -61,16 +61,13 @@ class EpochRecord:
 
 @dataclass
 class RunResult:
-    """Everything observable about one training run.
-
-    ``train`` leaves both accuracies unset; a caller that wants them fills
-    them in with ``evaluate`` (the studies only need the target's).
+    """What one training run records: its config, one EpochRecord per
+    epoch and its wall time.  Accuracies are not part of it; a caller that
+    wants them scores the returned params with ``evaluate``.
     """
 
     config: dict
     epochs: list
-    source_accuracy: list | None = None
-    target_accuracy: float | None = None
     wall_time_s: float = 0.0
 
 
@@ -92,9 +89,8 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     batch has at most C singular values) logs one warning naming its epoch,
     batch and shape.  A non-finite loss aborts immediately with
     the epoch and batch named, rather than letting Adam ride a NaN.  The
-    returned params are views of the run's Adam vector.  Nothing is scored:
-    the result's accuracies stay None.  Sources with no records raise
-    ``ValueError``.
+    returned params are views of the run's Adam vector.  Nothing is scored.
+    Sources with no records raise ``ValueError``.
     """
     if len(sources) == 0:
         raise ValueError("sources have no records to train on")
@@ -133,24 +129,13 @@ def train(cfg: TrainConfig, sources: DomainDataset):
             for key in sums:
                 sums[key] += parts[key]
         n_b = len(batches)
-        record = EpochRecord(
-            epoch=epoch,
-            total=sums["total"] / n_b,
-            cls=sums["cls"] / n_b,
-            rank=sums["rank"] / n_b,
-            kl=sums["kl"] / n_b,
-            lr=lr,
-        )
+        record = EpochRecord(epoch=epoch, **{k: v / n_b for k, v in sums.items()}, lr=lr)
         if cfg.log_singular_values:
             record.singular_values = [float(s) for s in trace.sigma[:_SPECTRUM_TOP_K]]
         records.append(record)
 
-    result = RunResult(
-        config=asdict(cfg),
-        epochs=records,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return params, result
+    wall_time_s = time.perf_counter() - t0
+    return params, RunResult(config=asdict(cfg), epochs=records, wall_time_s=wall_time_s)
 
 
 def _check_fits(ds: DomainDataset, in_dim: int, n_cls: int):

@@ -2,6 +2,8 @@
 
 The loss is computed directly from logits with log-sum-exp shifting, so no
 probability is ever materialized as an intermediate that could underflow.
+One row kernel computes it, both for training (``batch_mean``) and for the
+risk bound's Monte-Carlo estimates in ``theory``.
 """
 
 from __future__ import annotations
@@ -46,11 +48,20 @@ def batch_mean(logits, labels):
         raise ValueError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError(f"labels out of range for {logits.shape[1]} classes")
+    losses, exps, total = _row_losses(logits, labels)
+    value = float(np.mean(losses))
+    grad = exps / total
+    grad[np.arange(n), labels] -= 1.0
+    return value, grad / n
+
+
+def _row_losses(logits, labels):
+    """Unchecked softmax cross-entropy of each logits row against its label
+    (one class for all rows, or an (n,) index array).  Returns the (n,)
+    losses, the max-shifted exponentials and their (n, 1) row sums, whose
+    ratio is the softmax."""
     m = np.max(logits, axis=1, keepdims=True)
     exps = np.exp(logits - m)
     total = np.sum(exps, axis=1, keepdims=True)
     lse = m[:, 0] + np.log(total[:, 0])
-    value = float(np.mean(lse - logits[np.arange(n), labels]))
-    grad = exps / total
-    grad[np.arange(n), labels] -= 1.0
-    return value, grad / n
+    return lse - logits[np.arange(logits.shape[0]), labels], exps, total

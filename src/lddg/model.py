@@ -115,7 +115,8 @@ class TrainConfig:
         check_field_types(self)
         if not self.encoder_dims:
             raise ValueError("encoder_dims must list at least one layer width")
-        for name in ("epochs", "lr_decay_every", "latent_dim", "head_hidden_dim", "encoder_dims"):
+        for name in ("epochs", "batch_per_domain", "lr_decay_every", "latent_dim",
+                     "head_hidden_dim", "encoder_dims"):
             if np.min(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.regularizer not in ("rank", "nuclear"):
@@ -446,46 +447,49 @@ def load_checkpoint(path) -> ModelParams:
     lines = head.decode().splitlines()
     if not lines or not lines[0].startswith(_CKPT_MAGIC.decode()):
         raise ValueError(f"{path}: bad magic, not a checkpoint file")
-    magic, version = lines[0].split()
-    if int(version) != _CKPT_VERSION:
+    _, version = _header_line(path, lines, 1, str, int)
+    if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    n_layers = int(lines[1])
-    shapes = []
-    for ln in lines[2 : 2 + n_layers]:
-        act, out_dim, in_dim = ln.split()
-        shapes.append((act, int(out_dim), int(in_dim)))
-    if len(shapes) != n_layers:
-        raise ValueError(f"{path}: header declares {n_layers} layers, found {len(shapes)}")
+    (n_layers,) = _header_line(path, lines, 2, int)
+    if n_layers < 5:
+        raise ValueError(f"{path}: checkpoint needs >= 5 layers, found {n_layers}")
+    shapes = [_header_line(path, lines, 3 + i, str, int, int) for i in range(n_layers)]
+    if len(lines) != 2 + n_layers:
+        raise ValueError(f"{path}: header declares {n_layers} layers, found {len(lines) - 2}")
     need = sum(o * i + o for _, o, i in shapes) * 8
     if len(rest) != need:
         raise ValueError(
             f"{path}: expected {need} bytes of parameters, found {len(rest)}"
         )
-    layers = []
-    offset = 0
+    layers, offset = [], 0
     for act, out_dim, in_dim in shapes:
         w = np.frombuffer(rest, dtype="<f8", count=out_dim * in_dim, offset=offset)
-        offset += out_dim * in_dim * 8
+        offset += w.nbytes
         b = np.frombuffer(rest, dtype="<f8", count=out_dim, offset=offset)
-        offset += out_dim * 8
-        layers.append(
-            Layer(
-                weight=w.reshape(out_dim, in_dim).astype(np.float64),
-                bias=b.astype(np.float64),
-                activation=act,
-            )
-        )
-    if n_layers < 5:
-        raise ValueError(f"{path}: checkpoint needs >= 5 layers, found {n_layers}")
-    params = ModelParams(
-        encoder=layers[:-4],
-        head_hidden=layers[-4],
-        head_mu=layers[-3],
-        head_log_var=layers[-2],
-        classifier=layers[-1],
-    )
+        offset += b.nbytes
+        layers.append(Layer(w.reshape(out_dim, in_dim).astype(np.float64),
+                            b.astype(np.float64), act))
+    # encoder, then head_hidden, head_mu, head_log_var and classifier
+    params = ModelParams(layers[:-4], *layers[-4:])
     _check_layer_chain(path, params)
     return params
+
+
+def _header_line(path, lines, number, *kinds):
+    """Header line ``number`` (1-based) as one field per ``kinds`` entry,
+    converted by it; a missing line, a wrong field count, a field that does
+    not convert or an int below 1 raises ``ValueError`` naming the line."""
+    text = lines[number - 1] if number <= len(lines) else ""
+    toks = text.split()
+    try:
+        if len(toks) != len(kinds):
+            raise ValueError(f"expected {len(kinds)} fields, got {len(toks)}")
+        values = [kind(tok) for kind, tok in zip(kinds, toks)]
+        if any(kind is int and v < 1 for kind, v in zip(kinds, values)):
+            raise ValueError("integers must be >= 1")
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {number}: bad header line {text!r}: {exc}") from None
+    return values
 
 
 def _check_layer_chain(path, params: ModelParams):

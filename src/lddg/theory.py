@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import svd
+from .losses import _row_losses
 from .regularizers import GaussianPosterior
 
 __all__ = [
@@ -78,28 +79,28 @@ def gaussian_kl_to_standard(mu: float, var: float) -> float:
 
 _GRID_HALF_WIDTH = 16.0
 _GRID_POINTS = 8193  # 2**13 intervals; refinement halves this for the error estimate
+# the quadrature grid, its step and the prior's log-density on it, shared
+# read-only by every trial
+_GRID = np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
+_GRID_STEP = _GRID[1] - _GRID[0]
+_GRID_LOG_PRIOR = -0.5 * _GRID * _GRID - 0.5 * np.log(2.0 * np.pi)
+_GRID.flags.writeable = _GRID_LOG_PRIOR.flags.writeable = False
 
 
-def make_mixture_kl_trial(
-    seed: int, index: int = 0, num_sources: int = 3, all_prior: bool = False
-) -> TheoremTrial:
+def make_mixture_kl_trial(seed: int, index: int = 0, num_sources: int = 3) -> TheoremTrial:
     """Random mixture instance: K 1-D Gaussians with simplex weights.
 
     Means and standard deviations are kept inside [-3, 3] x [0.3, 2.0] so the
     quadrature window [-16, 16] holds all but ~1e-12 of every component's
-    mass.  With ``all_prior`` every source IS the prior (mu=0, var=1), making
-    the mixture KL exactly zero — a useful degenerate check.
+    mass.  The degenerate all-prior case (every source N(0, 1), mixture KL
+    exactly zero) is a ``TheoremTrial`` built by hand.
     """
     rng = np.random.default_rng([seed, 41, index])
     k = num_sources
     betas = rng.uniform(0.05, 1.0, size=k)
     betas = betas / np.sum(betas)
-    if all_prior:
-        mus = np.zeros(k)
-        sigmas = np.ones(k)
-    else:
-        mus = rng.uniform(-3.0, 3.0, size=k)
-        sigmas = rng.uniform(0.3, 2.0, size=k)
+    mus = rng.uniform(-3.0, 3.0, size=k)
+    sigmas = rng.uniform(0.3, 2.0, size=k)
     posts = [
         GaussianPosterior(
             mu=np.array([[m]]), log_var=np.array([[2.0 * np.log(s)]])
@@ -136,15 +137,13 @@ def verify_mixture_kl_bound(trial: TheoremTrial) -> BoundReport:
     mus = np.array([float(p.mu[0, 0]) for p in trial.source_posteriors])
     vars_ = np.array([float(np.exp(p.log_var[0, 0])) for p in trial.source_posteriors])
 
-    x = np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS)
-    h = x[1] - x[0]
+    x, h = _GRID, _GRID_STEP
     # mixture density on the grid
     q = np.zeros_like(x)
     for b, m, v in zip(betas, mus, vars_):
         q += b * np.exp(-0.5 * (x - m) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
-    log_prior = -0.5 * x * x - 0.5 * np.log(2.0 * np.pi)
     safe_q = np.maximum(q, 1e-300)
-    integrand = np.where(q > 0.0, q * (np.log(safe_q) - log_prior), 0.0)
+    integrand = np.where(q > 0.0, q * (np.log(safe_q) - _GRID_LOG_PRIOR), 0.0)
 
     fine = _simpson(integrand, h)
     coarse = _simpson(integrand[::2], 2.0 * h)
@@ -180,8 +179,11 @@ def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> Theore
     label's prototype, and an affine classifier; measures every source's
     expected cross-entropy and sets epsilon to the largest.  Redraws when
     the classifier is so bad that epsilon exceeds 4 nats (the bound would
-    still hold, but such trials test nothing interesting).
+    still hold, but such trials test nothing interesting).  Fewer than 2
+    classes raise ``ValueError``.
     """
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     for attempt in range(_RISK_MAX_RETRIES):
         rng = np.random.default_rng([seed, 43, index, attempt])
         c, k, d = num_classes, _RISK_SOURCES, _RISK_LATENT_DIM
@@ -203,7 +205,7 @@ def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> Theore
             )
             z = mu + sigma * rng.standard_normal((_RISK_SAMPLES, d))
             logits = z @ weight.T + bias
-            losses = _ce_rows(logits, label)
+            losses = _row_losses(logits, label)[0]
             risks.append(float(np.mean(losses)))
             ses.append(float(np.std(losses) / np.sqrt(_RISK_SAMPLES)))
         epsilon = max(risks)
@@ -223,13 +225,6 @@ def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> Theore
     )
 
 
-def _ce_rows(logits: np.ndarray, label: int) -> np.ndarray:
-    """Row-wise softmax cross-entropy against one fixed label."""
-    m = np.max(logits, axis=1)
-    lse = m + np.log(np.sum(np.exp(logits - m[:, None]), axis=1))
-    return lse - logits[:, label]
-
-
 def verify_risk_bound(
     trial: TheoremTrial, samples: int = 4000, seed: int = 0, index: int = 0
 ) -> BoundReport:
@@ -238,8 +233,10 @@ def verify_risk_bound(
     Draws one latent per source per round, combines the resulting score
     vectors with the beta weights, and averages the cross-entropy.  The
     tolerance is three combined standard errors (lhs estimate plus the
-    epsilon measurement scaled by M).
+    epsilon measurement scaled by M).  ``samples < 1`` raises ``ValueError``.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if trial.epsilon is None or trial.classifier is None:
         raise ValueError("risk-bound trial must carry epsilon and a classifier")
     weight, bias = trial.classifier
@@ -251,7 +248,7 @@ def verify_risk_bound(
         std = np.exp(0.5 * post.log_var[0])
         z = mu + std * rng.standard_normal((samples, mu.size))
         combined += b * (z @ weight.T + bias)
-    losses = _ce_rows(combined, trial.label)
+    losses = _row_losses(combined, trial.label)[0]
     lhs = float(np.mean(losses))
     lhs_se = float(np.std(losses) / np.sqrt(samples))
     eps_se = trial.epsilon_se

@@ -10,6 +10,7 @@ from lddg.cli import main
 from lddg.data import load_dataset, save_dataset
 from lddg.experiments import evaluate
 from lddg.model import load_checkpoint
+from lddg.theory import make_mixture_kl_trial, verify_mixture_kl_bound
 
 TINY_SYNTH = {
     "num_domains": 2,
@@ -126,6 +127,15 @@ class TestGenData:
                    "--out-target", str(tmp_path / "t")])
         assert rc == 1
         assert "num_classes" in capsys.readouterr().err
+
+    def test_output_path_of_the_wrong_type_names_the_key(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"synthetic": TINY_SYNTH,
+                                   "outputs": {"sources": ["a"], "target": "t.txt"}}))
+        rc = main(["gen-data", "--config", str(bad)])
+        assert rc == 1
+        assert "sources" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
 
     def test_invalid_json_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -313,6 +323,20 @@ class TestEval:
         assert rc == 1
         assert "feature_dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header, line",
+        [(b"LDDG-MODEL 1\n", "line 2"), (b"LDDG-MODEL 1\n5\nlinear 3\n", "line 3")],
+    )
+    def test_defective_checkpoint_header_names_the_line(
+        self, workspace, tmp_path, capsys, header, line
+    ):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(header + b"DATA\n")
+        rc = main(["eval", "--model", str(bad), "--data", str(workspace["target"])])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and line in err
+
 
 class TestVerify:
     def test_theorem_1_all_trials_satisfied(self, tmp_path, capsys):
@@ -326,13 +350,30 @@ class TestVerify:
         assert all(r["satisfied"] for r in records)
         assert all(r["lhs"] <= r["rhs"] + r["tolerance"] for r in records)
 
-    def test_theorem_1_all_prior_gives_zero_lhs(self, capsys):
-        rc = main(["verify", "--theorem", "1", "--trials", "5", "--all-prior"])
-        assert rc == 0
-        out_lines = capsys.readouterr().out.splitlines()
-        records = [json.loads(ln) for ln in out_lines if ln.startswith("{")]
-        assert len(records) == 5
-        assert all(abs(r["lhs"]) < 1e-8 for r in records)
+    def test_removed_all_prior_flag_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--theorem", "1", "--trials", "5", "--all-prior"])
+        assert exc.value.code == 2
+
+    def test_records_are_the_bound_reports(self, capsys):
+        assert main(["verify", "--theorem", "1", "--trials", "2", "--seed", "4"]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("{")]
+        for i, line in enumerate(lines):
+            rep = verify_mixture_kl_bound(make_mixture_kl_trial(4, i))
+            assert line == json.dumps({"trial": i, **dataclasses.asdict(rep)})
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--samples", "0"], "samples"), (["--classes", "0"], "num_classes"),
+         (["--classes", "1"], "num_classes")],
+    )
+    def test_theorem_2_edge_inputs_name_the_argument(self, tmp_path, capsys, flags, name):
+        report = tmp_path / "t2.jsonl"
+        rc = main(["verify", "--theorem", "2", "--trials", "1", "--report", str(report),
+                   *flags])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+        assert not report.exists()
 
     def test_theorem_2_cycles_class_counts(self, tmp_path, capsys):
         report = tmp_path / "t2.jsonl"
@@ -408,6 +449,16 @@ class TestSweepRank:
         assert rc == 2
         assert "duplicate" in capsys.readouterr().err
 
+    def test_zero_batch_per_domain_names_the_flag(self, workspace, capsys):
+        rc = main([
+            "sweep-rank", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]),
+            "--target", str(workspace["target"]),
+            "--batch-per-domain", "0", "--ranks", "2",
+        ])
+        assert rc == 1
+        assert "batch_per_domain must be >= 1" in capsys.readouterr().err
+
     def test_bad_rank_list_usage_error(self, workspace, capsys):
         rc = main([
             "sweep-rank", "--config", str(workspace["config"]),
@@ -431,6 +482,18 @@ class TestAblate:
         rows = table.read_text().splitlines()
         assert rows[0] == "cell,mean,std,acc_seed0"
         assert [r.split(",")[0] for r in rows[1:]] == ["none", "rank+kl"]
+
+    def test_output_path_of_the_wrong_type_names_the_key(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": TINY_TRAIN, "outputs": {"table": 7}}))
+        rc = main([
+            "ablate", "--config", str(bad),
+            "--sources", str(workspace["sources"]),
+            "--target", str(workspace["target"]),
+            "--cells", "none", "--seeds", "0",
+        ])
+        assert rc == 1
+        assert "table" in capsys.readouterr().err
 
     def test_unknown_cell_usage_error(self, workspace, capsys):
         rc = main([

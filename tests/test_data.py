@@ -141,7 +141,7 @@ class TestConfigValidation:
         ]
         for kw in bad:
             with pytest.raises(ValueError):
-                generate_synthetic(self.base(**kw))
+                self.base(**kw)
 
 
 class TestDatasetValidation:

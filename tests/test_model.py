@@ -348,6 +348,23 @@ class TestCheckpoint:
 
 
     @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"LDDG-MODEL 1\n", "line 2: bad header line ''"),
+            (b"LDDG-MODEL\n", "line 1: bad header line 'LDDG-MODEL': expected 2 fields"),
+            (b"LDDG-MODEL one\n5\n", "line 1: .*invalid literal"),
+            (b"LDDG-MODEL 1\nfive\n", "line 2: .*invalid literal"),
+            (b"LDDG-MODEL 1\n5\nlinear 3\n", "line 3: bad header line 'linear 3': expected 3"),
+            (b"LDDG-MODEL 1\n5\n" + b"linear 0 2\n" * 5, "line 3: .*must be >= 1"),
+        ],
+    )
+    def test_defective_header_names_the_line(self, tmp_path, header, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(header + b"DATA\n")
+        with pytest.raises(ValueError, match=f"bad.ckpt: {message}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
         "layer, shape, message",
         [
             ("head_hidden", (4, 16), "head_hidden takes 16 inputs, but encoder"),
@@ -389,7 +406,7 @@ class TestTrainConfig:
             ("log_singular_values", "false"), ("log_singular_values", 1),
             # widths below 1 and an encoder without layers build no usable model
             ("encoder_dims", ()), ("encoder_dims", (8, 0)), ("head_hidden_dim", 0),
-            ("latent_dim", 0), ("lr_decay_every", 0),
+            ("latent_dim", 0), ("lr_decay_every", 0), ("batch_per_domain", 0),
         ],
     )
     def test_rejects_values_of_the_wrong_type(self, key, value):

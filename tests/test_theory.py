@@ -53,7 +53,15 @@ class TestMixtureKlBound:
             assert abs(rep.lhs - rep.rhs) <= rep.tolerance + 1e-8
 
     def test_all_prior_sources_give_zero_lhs(self):
-        trial = make_mixture_kl_trial(seed=2, all_prior=True)
+        # every source IS the prior, so the mixture KL is exactly zero
+        prior = GaussianPosterior(np.zeros((1, 1)), np.zeros((1, 1)))
+        trial = TheoremTrial(
+            betas=make_mixture_kl_trial(seed=2).betas,
+            norm_bound=1.0,
+            num_classes=2,
+            label=0,
+            source_posteriors=[prior] * 3,
+        )
         rep = verify_mixture_kl_bound(trial)
         assert rep.satisfied
         assert abs(rep.lhs) < 1e-8
@@ -140,6 +148,17 @@ class TestRiskBound:
             if np.sum(trial.betas) > 1.0:
                 seen_above_one = True
         assert seen_above_one
+
+    @pytest.mark.parametrize("num_classes", [-1, 0, 1])
+    def test_fewer_than_two_classes_rejected(self, num_classes):
+        with pytest.raises(ValueError, match="num_classes"):
+            make_risk_bound_trial(seed=0, num_classes=num_classes)
+
+    @pytest.mark.parametrize("samples", [-1, 0])
+    def test_no_samples_rejected(self, samples):
+        trial = make_risk_bound_trial(seed=0, num_classes=2)
+        with pytest.raises(ValueError, match="samples"):
+            verify_risk_bound(trial, samples=samples)
 
     def test_missing_epsilon_rejected(self):
         trial = make_mixture_kl_trial(seed=4)
