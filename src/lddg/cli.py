@@ -206,6 +206,8 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     raw = load_config(args.config)
     report_path = _resolve_out(args.report, raw, "report", required=False)
     records = []

@@ -114,6 +114,8 @@ class SyntheticConfig:
             raise ValueError("noise_std must be non-negative")
         if self.samples_per_domain_class < 1 or self.target_samples_per_class < 1:
             raise ValueError("samples per class must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -204,12 +204,15 @@ def _study(base_cfg, sources, target, members, seeds, row):
     """The one loop of both studies: for each ``(key, overrides)`` member,
     then each seed, train ``replace(base_cfg, seed=seed, **overrides)`` and
     score it once on the target.  Returns ``row(key, accuracies, mean, std)``
-    per member (population std)."""
+    per member (population std).  Every config is built, and so checked,
+    before the first member trains."""
+    cfgs = [[replace(base_cfg, seed=seed, **overrides) for seed in seeds]
+            for _, overrides in members]
     rows = []
-    for key, overrides in members:
+    for (key, _), member_cfgs in zip(members, cfgs):
         accs = []
-        for seed in seeds:
-            params, _ = train(replace(base_cfg, seed=seed, **overrides), sources)
+        for cfg in member_cfgs:
+            params, _ = train(cfg, sources)
             accs.append(evaluate(params, target).accuracy)
         rows.append(row(key, accs, float(np.mean(accs)), float(np.std(accs))))
     return rows
@@ -229,8 +232,8 @@ def ablate_components(
     accuracies plus their mean and (population) standard deviation.  The
     'nuclear' cells swap the sigma_{C+1} penalty for the nuclear norm at the
     same lambda1, which is the classical low-rank baseline.  An unknown
-    cell, or a target the model could not score, raises ``ValueError``
-    before any training.
+    cell, a negative seed or a target the model could not score raises
+    ``ValueError`` before any training.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     overrides = {
@@ -259,8 +262,8 @@ def sweep_rank(
     Returns one SweepRow per rank, in the given order.  Rank values must be
     distinct and lie in [1, min(batch rows, latent_dim) - 1], otherwise the
     penalty is structurally zero and the sweep point is meaningless; that
-    misuse, like a target the model could not score, raises ``ValueError``
-    before any training.
+    misuse, like a negative seed or a target the model could not score,
+    raises ``ValueError`` before any training.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     ranks = list(ranks)

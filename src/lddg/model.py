@@ -56,8 +56,14 @@ class Layer:
     activation: str = "linear"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+        _activation(self.activation)
+
+
+def _activation(name):
+    """``name`` when it is a known activation tag, else ``ValueError``."""
+    if name not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    return name
 
 
 @dataclass
@@ -128,6 +134,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be non-negative")
         if self.rank_target is not None and self.rank_target < 1:
             raise ValueError("rank_target must be >= 1 when set")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -444,8 +452,8 @@ def load_checkpoint(path) -> ModelParams:
     head, sep, rest = raw.partition(b"DATA\n")
     if not sep:
         raise ValueError(f"{path}: missing DATA marker, not a checkpoint file")
-    lines = head.decode().splitlines()
-    if not lines or not lines[0].startswith(_CKPT_MAGIC.decode()):
+    lines = head.splitlines()
+    if not lines or not lines[0].startswith(_CKPT_MAGIC):
         raise ValueError(f"{path}: bad magic, not a checkpoint file")
     _, version = _header_line(path, lines, 1, str, int)
     if version != _CKPT_VERSION:
@@ -453,7 +461,8 @@ def load_checkpoint(path) -> ModelParams:
     (n_layers,) = _header_line(path, lines, 2, int)
     if n_layers < 5:
         raise ValueError(f"{path}: checkpoint needs >= 5 layers, found {n_layers}")
-    shapes = [_header_line(path, lines, 3 + i, str, int, int) for i in range(n_layers)]
+    shapes = [_header_line(path, lines, 3 + i, _activation, int, int)
+              for i in range(n_layers)]
     if len(lines) != 2 + n_layers:
         raise ValueError(f"{path}: header declares {n_layers} layers, found {len(lines) - 2}")
     need = sum(o * i + o for _, o, i in shapes) * 8
@@ -476,18 +485,20 @@ def load_checkpoint(path) -> ModelParams:
 
 
 def _header_line(path, lines, number, *kinds):
-    """Header line ``number`` (1-based) as one field per ``kinds`` entry,
-    converted by it; a missing line, a wrong field count, a field that does
-    not convert or an int below 1 raises ``ValueError`` naming the line."""
-    text = lines[number - 1] if number <= len(lines) else ""
-    toks = text.split()
+    """Header line ``number`` (1-based, of the header's byte lines) as one
+    field per ``kinds`` entry, converted by it; a missing line, a line that
+    is not UTF-8, a wrong field count, a field that does not convert or an
+    int below 1 raises ``ValueError`` naming the line."""
+    raw = lines[number - 1] if number <= len(lines) else b""
     try:
+        toks = raw.decode().split()
         if len(toks) != len(kinds):
             raise ValueError(f"expected {len(kinds)} fields, got {len(toks)}")
         values = [kind(tok) for kind, tok in zip(kinds, toks)]
         if any(kind is int and v < 1 for kind, v in zip(kinds, values)):
             raise ValueError("integers must be >= 1")
     except ValueError as exc:
+        text = raw.decode(errors="backslashreplace")
         raise ValueError(f"{path}: line {number}: bad header line {text!r}: {exc}") from None
     return values
 

@@ -184,9 +184,11 @@ def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> Theore
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+    c, k, d = num_classes, _RISK_SOURCES, _RISK_LATENT_DIM
+    z = np.empty((_RISK_SAMPLES, d))
+    logits = np.empty((_RISK_SAMPLES, c))
     for attempt in range(_RISK_MAX_RETRIES):
         rng = np.random.default_rng([seed, 43, index, attempt])
-        c, k, d = num_classes, _RISK_SOURCES, _RISK_LATENT_DIM
         label = int(rng.integers(c))
         protos = rng.standard_normal((c, d))
         weight = protos + 0.1 * rng.standard_normal((c, d))  # roughly aligned scorer
@@ -203,8 +205,12 @@ def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> Theore
                     log_var=np.full((1, d), 2.0 * np.log(sigma)),
                 )
             )
-            z = mu + sigma * rng.standard_normal((_RISK_SAMPLES, d))
-            logits = z @ weight.T + bias
+            # z = mu + sigma * N(0, I) and its scores, in place
+            rng.standard_normal(out=z)
+            z *= sigma
+            z += mu
+            np.matmul(z, weight.T, out=logits)
+            logits += bias
             losses = _row_losses(logits, label)[0]
             risks.append(float(np.mean(losses)))
             ses.append(float(np.std(losses) / np.sqrt(_RISK_SAMPLES)))
@@ -243,11 +249,17 @@ def verify_risk_bound(
     betas = np.asarray(trial.betas, dtype=np.float64)
     rng = np.random.default_rng([seed, 47, index])
     combined = np.zeros((samples, trial.num_classes))
+    scores = np.empty_like(combined)
+    z = np.empty((samples, weight.shape[1]))
     for b, post in zip(betas, trial.source_posteriors):
-        mu = post.mu[0]
-        std = np.exp(0.5 * post.log_var[0])
-        z = mu + std * rng.standard_normal((samples, mu.size))
-        combined += b * (z @ weight.T + bias)
+        # combined += b * ((mu + std * N(0, I)) @ weight.T + bias), in place
+        rng.standard_normal(out=z)
+        z *= np.exp(0.5 * post.log_var[0])
+        z += post.mu[0]
+        np.matmul(z, weight.T, out=scores)
+        scores += bias
+        scores *= b
+        combined += scores
     losses = _row_losses(combined, trial.label)[0]
     lhs = float(np.mean(losses))
     lhs_se = float(np.std(losses) / np.sqrt(samples))

@@ -137,6 +137,15 @@ class TestGenData:
         assert "sources" in capsys.readouterr().err
         assert not (tmp_path / "t.txt").exists()
 
+    def test_negative_seed_names_the_seed(self, workspace, tmp_path, capsys):
+        rc = main([
+            "gen-data", "--config", str(workspace["config"]), "--seed", "-1",
+            "--out-sources", str(tmp_path / "s.txt"), "--out-target", str(tmp_path / "t.txt"),
+        ])
+        assert rc == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "s.txt").exists()
+
     def test_invalid_json_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -212,6 +221,14 @@ class TestTrain:
         ])
         assert rc == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
+
+    def test_negative_seed_names_the_seed(self, workspace, capsys):
+        rc = main([
+            "train", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]), "--seed", "-1",
+        ])
+        assert rc == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_non_numeric_config_value_names_the_key(self, workspace, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -325,7 +342,8 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "header, line",
-        [(b"LDDG-MODEL 1\n", "line 2"), (b"LDDG-MODEL 1\n5\nlinear 3\n", "line 3")],
+        [(b"LDDG-MODEL 1\n", "line 2"), (b"LDDG-MODEL 1\n5\nlinear 3\n", "line 3"),
+         (b"LDDG-MODEL \xff1\n5\n", "line 1"), (b"LDDG-MODEL 1\n5\nfoo 4 4\n", "line 3")],
     )
     def test_defective_checkpoint_header_names_the_line(
         self, workspace, tmp_path, capsys, header, line
@@ -388,6 +406,14 @@ class TestVerify:
         rc = main(["verify", "--theorem", "1", "--trials", "0"])
         assert rc == 2
         assert "trials" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        report = tmp_path / "t2.jsonl"
+        rc = main(["verify", "--theorem", "2", "--trials", "1", "--seed", "-1",
+                   "--report", str(report)])
+        assert rc == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_bad_theorem_number_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
@@ -494,6 +520,18 @@ class TestAblate:
         ])
         assert rc == 1
         assert "table" in capsys.readouterr().err
+
+    def test_negative_seed_names_the_seed_before_training(self, workspace, tmp_path, capsys):
+        table = tmp_path / "ablate.csv"
+        rc = main([
+            "ablate", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]),
+            "--target", str(workspace["target"]),
+            "--cells", "none", "--seeds", "0,-1", "--out", str(table),
+        ])
+        assert rc == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not table.exists()
 
     def test_unknown_cell_usage_error(self, workspace, capsys):
         rc = main([

@@ -144,6 +144,10 @@ class TestConfigValidation:
                 self.base(**kw)
 
 
+    def test_negative_seed_names_the_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            self.base(seed=-1)
+
 class TestDatasetValidation:
     def test_rejects_inconsistent_arrays(self):
         ok = dict(

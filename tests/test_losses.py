@@ -5,7 +5,7 @@ import pytest
 from scipy.special import logsumexp
 
 from lddg.linalg import finite_diff_grad
-from lddg.losses import batch_mean, cross_entropy_softmax
+from lddg.losses import _row_losses, batch_mean, cross_entropy_softmax
 
 
 class TestCrossEntropy:
@@ -79,3 +79,58 @@ class TestBatchMean:
             batch_mean(np.zeros((3, 2)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
             batch_mean(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+
+def _reference_row_losses(logits, labels):
+    """Softmax cross-entropy with numpy's row reductions, which the
+    column-wise kernel must match bit for bit."""
+    m = np.max(logits, axis=1, keepdims=True)
+    exps = np.exp(logits - m)
+    total = np.sum(exps, axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(total[:, 0])
+    return lse - logits[np.arange(logits.shape[0]), labels], exps, total
+
+
+def _logits(rng, c):
+    """40 rows of C logits: ordinary values, rows with tied maxima (two
+    tied columns, and all columns equal) and rows of magnitude 1e3."""
+    logits = rng.standard_normal((40, c)) * 3.0
+    logits[10:20, c // 2] = np.max(logits[10:20], axis=1)
+    logits[20:25] = rng.standard_normal((5, 1))
+    logits[25:] *= 1e3 / 3.0
+    return logits
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("label_kind", ["scalar", "array"])
+    def test_matches_row_reductions_bit_for_bit(self, label_kind):
+        rng = np.random.default_rng(11)
+        for c in [*range(1, 131), 300]:
+            logits = _logits(rng, c)
+            labels = (c - 1 if label_kind == "scalar"
+                      else rng.integers(0, c, logits.shape[0]))
+            got = _row_losses(logits, labels)
+            want = _reference_row_losses(logits, labels)
+            for name, g, w in zip(("losses", "exps", "total"), got, want):
+                assert g.shape == w.shape, (c, name)
+                assert g.tobytes() == w.tobytes(), f"{name} differs at C = {c}"
+
+    def test_batch_mean_matches_row_reductions_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for c in (1, 2, 4, 7, 8, 9, 16, 129, 300):
+            logits = _logits(rng, c)
+            labels = rng.integers(0, c, logits.shape[0])
+            losses, exps, total = _reference_row_losses(logits, labels)
+            grad = exps / total
+            grad[np.arange(logits.shape[0]), labels] -= 1.0
+            value, got = batch_mean(logits, labels)
+            assert value == float(np.mean(losses))
+            assert got.flags.c_contiguous
+            assert got.tobytes() == (grad / logits.shape[0]).tobytes(), c
+
+    def test_leaves_the_logits_untouched(self):
+        for shape in ((1, 5), (5, 1), (6, 3)):
+            logits = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+            before = logits.copy()
+            _row_losses(logits, 0)
+            assert np.array_equal(logits, before)

@@ -356,6 +356,9 @@ class TestCheckpoint:
             (b"LDDG-MODEL 1\nfive\n", "line 2: .*invalid literal"),
             (b"LDDG-MODEL 1\n5\nlinear 3\n", "line 3: bad header line 'linear 3': expected 3"),
             (b"LDDG-MODEL 1\n5\n" + b"linear 0 2\n" * 5, "line 3: .*must be >= 1"),
+            (b"LDDG-MODEL \xff1\n5\n", r"line 1: bad header line 'LDDG-MODEL \\\\xff1': 'utf-8'"),
+            (b"LDDG-MODEL 1\n5\n" + b"foo 4 4\n" + b"linear 4 4\n" * 4,
+             "line 3: bad header line 'foo 4 4': unknown activation 'foo'"),
         ],
     )
     def test_defective_header_names_the_line(self, tmp_path, header, message):
@@ -407,6 +410,7 @@ class TestTrainConfig:
             # widths below 1 and an encoder without layers build no usable model
             ("encoder_dims", ()), ("encoder_dims", (8, 0)), ("head_hidden_dim", 0),
             ("latent_dim", 0), ("lr_decay_every", 0), ("batch_per_domain", 0),
+            ("seed", -1),
         ],
     )
     def test_rejects_values_of_the_wrong_type(self, key, value):

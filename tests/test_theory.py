@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lddg import theory
 from lddg.regularizers import GaussianPosterior
 from lddg.theory import (
     BoundReport,
@@ -177,6 +178,72 @@ class TestRiskBound:
         assert isinstance(rep, BoundReport)
         assert rep.theorem == "risk-bound"
         assert {"epsilon", "norm_bound", "num_classes", "lhs_se"} <= set(rep.detail)
+
+
+def _reference_ce(logits, label):
+    """Cross-entropy of every row against one label, by numpy's row reductions."""
+    m = np.max(logits, axis=1, keepdims=True)
+    total = np.sum(np.exp(logits - m), axis=1, keepdims=True)
+    return m[:, 0] + np.log(total[:, 0]) - logits[:, label]
+
+
+def _reference_risk_trial(seed, c, index):
+    """``make_risk_bound_trial`` written with a fresh array per expression:
+    (label, betas, weight, bias, source (mu, log_var) pairs, epsilon, its se)."""
+    k, d, n = theory._RISK_SOURCES, theory._RISK_LATENT_DIM, theory._RISK_SAMPLES
+    for attempt in range(theory._RISK_MAX_RETRIES):
+        rng = np.random.default_rng([seed, 43, index, attempt])
+        label = int(rng.integers(c))
+        protos = rng.standard_normal((c, d))
+        weight = protos + 0.1 * rng.standard_normal((c, d))
+        bias = 0.1 * rng.standard_normal(c)
+        betas = rng.uniform(0.1, 1.0, size=k)
+        betas = betas * rng.uniform(0.8, 1.3) / np.sum(betas)
+        posts, risks, ses = [], [], []
+        for _ in range(k):
+            mu = protos[label] + 0.15 * rng.standard_normal(d)
+            sigma = rng.uniform(0.2, 0.5)
+            posts.append((mu, np.full(d, 2.0 * np.log(sigma))))
+            z = mu + sigma * rng.standard_normal((n, d))
+            losses = _reference_ce(z @ weight.T + bias, label)
+            risks.append(float(np.mean(losses)))
+            ses.append(float(np.std(losses) / np.sqrt(n)))
+        if max(risks) <= 4.0:
+            return label, betas, weight, bias, posts, max(risks), max(ses)
+    raise AssertionError("no acceptable reference trial")
+
+
+def _reference_risk_lhs(trial, samples, seed, index):
+    """``verify_risk_bound``'s lhs and its standard error, one fresh array
+    per expression."""
+    weight, bias = trial.classifier
+    rng = np.random.default_rng([seed, 47, index])
+    combined = np.zeros((samples, trial.num_classes))
+    for b, post in zip(trial.betas, trial.source_posteriors):
+        mu = post.mu[0]
+        std = np.exp(0.5 * post.log_var[0])
+        z = mu + std * rng.standard_normal((samples, mu.size))
+        combined += b * (z @ weight.T + bias)
+    losses = _reference_ce(combined, trial.label)
+    return float(np.mean(losses)), float(np.std(losses) / np.sqrt(samples))
+
+
+class TestRiskBoundBits:
+    @pytest.mark.parametrize("c", [2, 3, 7, 8, 9, 16, 129])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_in_place_monte_carlo_matches_fresh_arrays(self, c, seed):
+        trial = make_risk_bound_trial(seed, c, index=c)
+        label, betas, weight, bias, posts, eps, eps_se = _reference_risk_trial(seed, c, c)
+        assert trial.label == label
+        assert trial.betas.tobytes() == betas.tobytes()
+        assert trial.classifier[0].tobytes() == weight.tobytes()
+        assert trial.classifier[1].tobytes() == bias.tobytes()
+        for post, (mu, log_var) in zip(trial.source_posteriors, posts, strict=True):
+            assert post.mu[0].tobytes() == mu.tobytes()
+            assert post.log_var[0].tobytes() == log_var.tobytes()
+        assert (trial.epsilon, trial.epsilon_se) == (eps, eps_se)
+        rep = verify_risk_bound(trial, samples=1500, seed=seed, index=c)
+        assert (rep.lhs, rep.detail["lhs_se"]) == _reference_risk_lhs(trial, 1500, seed, c)
 
 
 class TestLogInequalityFacts:
