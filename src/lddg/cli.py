@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=4000,
-                   help="Monte-Carlo draws per trial (theorem 2)")
+                   help="Monte-Carlo draws per trial, at least 2 (theorem 2)")
     p.add_argument("--classes", default="2,7",
                    help="class counts cycled across trials (theorem 2)")
     p.add_argument("--report", help="write per-trial records to this JSONL path")

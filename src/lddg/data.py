@@ -309,6 +309,8 @@ def load_dataset(path) -> DomainDataset:
         raise ValueError(f"{path}: line 1: non-integer header field in {lines[0]!r}")
     if version != _VERSION:
         raise ValueError(f"{path}: line 1: unsupported format version {version}")
+    if min(k_dom, n_cls, fd) < 1 or n < 0:
+        raise ValueError(f"{path}: line 1: counts must be >= 1, records >= 0: {lines[0]!r}")
     if len(lines) - 1 != n:
         raise ValueError(
             f"{path}: header declares {n} records but file has {len(lines) - 1}"

@@ -140,16 +140,15 @@ class TrainConfig:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs from one forward evaluation.
+    """Everything the backward pass needs from one training step.
 
-    The trunk is ``[*params.encoder, params.head_hidden]``; ``trunk_pre``
-    and ``trunk_act`` hold each of its layers' pre-activations and outputs.
-    ``total_loss`` fills the fields after ``logits``: the unweighted
-    gradients of CE (w.r.t. the logits), of the penalty (w.r.t. z) and of
-    KL (w.r.t. the posterior), the ``labels`` and ``cfg`` objects they were
-    computed for, and the singular values of z from the penalty's SVD.
-    ``backward`` reuses those gradients rather than run ``batch_mean``, the
-    SVD and ``kl_standard_normal`` again.
+    ``forward`` fills the fields up to ``logits``; the trunk is
+    ``[*params.encoder, params.head_hidden]``, and ``trunk_pre`` and
+    ``trunk_act`` hold each of its layers' pre-activations and outputs.
+    ``total_loss`` fills the rest: the ``labels`` and ``cfg`` objects it was
+    called with, the unweighted gradients of CE (w.r.t. the logits), of the
+    penalty (w.r.t. z) and of KL (w.r.t. the posterior), and the singular
+    values of z from the penalty's SVD.  ``backward`` only reads them.
     """
 
     x: np.ndarray
@@ -216,7 +215,7 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     all-zero) evaluates at the posterior mean, which is the deterministic
     mode used for accuracy measurements.
     """
-    h = np.asarray(x, dtype=np.float64)
+    x = h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2:
         raise ValueError("forward expects a 2-D batch")
     if not np.all(np.isfinite(h)):
@@ -229,12 +228,12 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
         acts.append(h)
     mu = h @ params.head_mu.weight.T + params.head_mu.bias
     log_var_raw = h @ params.head_log_var.weight.T + params.head_log_var.bias
-    posterior = GaussianPosterior(mu=mu, log_var=log_var_raw.copy())
+    posterior = GaussianPosterior(mu=mu, log_var=log_var_raw)
     eps = np.zeros_like(mu) if noise is None else np.asarray(noise, dtype=np.float64)
     z = reparameterize(posterior, eps)
     logits = z @ params.classifier.weight.T + params.classifier.bias
     return ForwardTrace(
-        x=np.asarray(x, dtype=np.float64),
+        x=x,
         trunk_pre=pres,
         trunk_act=acts,
         log_var_raw=log_var_raw,
@@ -246,17 +245,15 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
 
 
 def total_loss(trace: ForwardTrace, labels, cfg: TrainConfig):
-    """Scalar objective and its additive parts.
+    """Scalar objective and its additive parts; the step's only loss code.
 
     Evaluates CE, the configured low-rank penalty of the whole latent batch
     (``rank_loss`` at ``rank_target``, or at the class count when that is
-    None, or ``nuclear_norm``) and KL, once each.  Returns ``(value, parts)``
-    with parts keyed 'cls', 'rank', 'kl', 'total'; the total is exactly
-    ``cls + lambda1 * rank + lambda2 * kl`` as floats.  The terms' gradients,
-    ``labels``, ``cfg`` and the penalty's singular values are stored on the
-    trace (see ForwardTrace), so backward reuses them.
+    None, or ``nuclear_norm``) and KL, once each, and stores their gradients
+    on the trace with ``labels`` and ``cfg`` as passed (see ForwardTrace).
+    Returns ``(value, parts)`` with parts keyed 'cls', 'rank', 'kl',
+    'total'; the total is exactly ``cls + lambda1 * rank + lambda2 * kl``.
     """
-    labels = np.asarray(labels)
     cls_value, trace.d_logits = batch_mean(trace.logits, labels)
     if cfg.regularizer == "nuclear":
         penalty = nuclear_norm(trace.z)
@@ -271,17 +268,16 @@ def total_loss(trace: ForwardTrace, labels, cfg: TrainConfig):
 
 
 def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig):
-    """Gradient of total_loss w.r.t. every parameter.
+    """Gradient of total_loss w.r.t. every parameter, as a ModelParams.
 
-    Returns a ModelParams whose arrays are the gradients.  Backpropagates
-    the loss-side gradients that total_loss stored on the trace for the
-    same ``labels`` and ``cfg`` objects, and runs total_loss itself when
-    the trace holds none for them, so call total_loss first to compute
-    each loss term once.
+    Backpropagates the gradients ``total_loss(trace, labels, cfg)`` stored
+    on the trace.  A trace without them, or with them stored for other
+    ``labels`` or ``cfg`` objects, raises ``ValueError``.
     """
-    labels = np.asarray(labels)
+    if trace.d_logits is None:
+        raise ValueError("backward needs the gradients total_loss stores; call it first")
     if trace.labels is not labels or trace.cfg is not cfg:
-        total_loss(trace, labels, cfg)
+        raise ValueError("backward got other labels or cfg than total_loss stored")
     d_logits = trace.d_logits
 
     # classifier

@@ -239,10 +239,11 @@ def verify_risk_bound(
     Draws one latent per source per round, combines the resulting score
     vectors with the beta weights, and averages the cross-entropy.  The
     tolerance is three combined standard errors (lhs estimate plus the
-    epsilon measurement scaled by M).  ``samples < 1`` raises ``ValueError``.
+    epsilon measurement scaled by M).  A standard error needs at least two
+    draws, so ``samples < 2`` raises ``ValueError``.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
     if trial.epsilon is None or trial.classifier is None:
         raise ValueError("risk-bound trial must carry epsilon and a classifier")
     weight, bias = trial.classifier
@@ -281,7 +282,6 @@ def verify_risk_bound(
     )
 
 
-def singular_spectrum(z, top_k: int | None = None) -> np.ndarray:
-    """Singular values of a matrix in descending order (optionally top_k)."""
-    sigma = svd(z).sigma
-    return sigma[:top_k] if top_k is not None else sigma
+def singular_spectrum(z) -> np.ndarray:
+    """Singular values of a matrix in descending order."""
+    return svd(z).sigma

@@ -383,7 +383,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "flags, name",
         [(["--samples", "0"], "samples"), (["--classes", "0"], "num_classes"),
-         (["--classes", "1"], "num_classes")],
+         (["--classes", "1"], "num_classes"), (["--samples", "1"], "samples")],
     )
     def test_theorem_2_edge_inputs_name_the_argument(self, tmp_path, capsys, flags, name):
         report = tmp_path / "t2.jsonl"

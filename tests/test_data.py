@@ -1,5 +1,7 @@
 """Tests for synthetic benchmark generation, dataset files, and batching."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,12 @@ class TestDatasetFiles:
         path.write_text("LDDG-DS 9 1 2 3 0\n")
         with pytest.raises(ValueError, match="version"):
             load_dataset(path)
+        # a count below 1, or a negative record count, fails before allocating
+        for text in ("0 2 3 0\n", "1 0 3 0\n", "1 2 -3 0\n", "1 2 0 1\n0 0\n",
+                     "1 2 3 -1\n"):
+            path.write_text(f"LDDG-DS 1 {text}")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: ")):
+                load_dataset(path)
         path.write_text("LDDG-DS 1 1 2 3 2\n0 0 1.0 2.0 3.0\n")
         with pytest.raises(ValueError, match="2 records"):
             load_dataset(path)

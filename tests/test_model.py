@@ -181,26 +181,32 @@ class TestBackward:
     def test_gradient_shapes_mirror_parameters(self):
         params, x, labels, noise = small_setup()
         trace = forward(params, x, noise)
+        total_loss(trace, labels, SMALL)
         grads = backward(params, trace, labels, SMALL)
         for p_arr, g_arr in zip(params.flat(), grads.flat()):
             assert p_arr.shape == g_arr.shape
 
-    def test_cached_loss_gradients_follow_labels_and_config(self):
-        # the gradients total_loss caches are only reused for the labels and
-        # config objects they came from
+    @pytest.mark.parametrize("case", ["fresh trace", "other labels", "other cfg", "list labels"])
+    def test_backward_reads_what_total_loss_stored(self, case):
+        # backward backpropagates what total_loss stored for the same labels
+        # and cfg objects; a trace without it, or with it for others, raises
         params, x, labels, noise = small_setup(n=12)
-        other = TrainConfig(
-            lambda1=0.1, lambda2=0.3, latent_dim=5, encoder_dims=(8,),
-            head_hidden_dim=8, regularizer="nuclear",
-        )
-        flipped = (labels + 1) % 3
-        for cfg, y in ((other, labels), (SMALL, flipped)):
-            trace = forward(params, x, noise)
-            total_loss(trace, labels, SMALL)
-            stale = backward(params, trace, y, cfg)
-            fresh = backward(params, forward(params, x, noise), y, cfg)
-            for a, b in zip(stale.flat(), fresh.flat()):
-                np.testing.assert_array_equal(a, b)
+        y = labels.tolist() if case == "list labels" else labels
+        trace = forward(params, x, noise)
+        if case != "fresh trace":
+            total_loss(trace, y, SMALL)
+        if case == "list labels":
+            reference = forward(params, x, noise)
+            total_loss(reference, labels, SMALL)
+            expected = backward(params, reference, labels, SMALL)
+            for a, b in zip(backward(params, trace, y, SMALL).flat(), expected.flat()):
+                assert a.tobytes() == b.tobytes()
+            return
+        if case == "other labels":
+            y = (labels + 1) % 3
+        cfg = copy.copy(SMALL) if case == "other cfg" else SMALL
+        with pytest.raises(ValueError, match="total_loss"):
+            backward(params, trace, y, cfg)
 
     def test_clamped_log_var_gets_zero_gradient(self):
         params, x, labels, noise = small_setup()
