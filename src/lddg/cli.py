@@ -29,6 +29,7 @@ from ._fields import check_field_types
 from .data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from .experiments import (
     ABLATION_CELLS,
+    _check_fits,
     ablate_components,
     evaluate,
     sweep_rank,
@@ -158,11 +159,13 @@ def cmd_train(args) -> int:
     raw = load_config(args.config)
     cfg = _config(TrainConfig, "train", raw, args)
     sources = load_dataset(args.sources)
+    target = None
+    if args.target is not None:  # checked before, not after, the whole run
+        target = load_dataset(args.target)
+        _check_fits(target, sources.feature_dim, sources.num_classes)
     params, result = train(cfg, sources)
     source_accuracy = evaluate(params, sources).per_domain
-    target_accuracy = None
-    if args.target is not None:
-        target_accuracy = evaluate(params, load_dataset(args.target)).accuracy
+    target_accuracy = None if target is None else evaluate(params, target).accuracy
     model_out = _resolve_out(args.model_out, raw, "model", required=False)
     metrics_out = _resolve_out(args.metrics_out, raw, "metrics", required=False)
     if model_out:
@@ -265,9 +268,14 @@ def _ranks(args):
 
 
 def _cells(args):
-    """The ablation's ``cells`` (None: all of them); an unknown cell is a usage error."""
-    cells = [tok.strip() for tok in args.cells.split(",")] if args.cells else None
-    bad = [c for c in cells or () if c not in {cell[0] for cell in ABLATION_CELLS}]
+    """The ablation's ``cells`` (None: all of them); an empty list or an
+    unknown cell is a usage error."""
+    if args.cells is None:
+        return {"cells": None}
+    if not args.cells.strip():
+        raise UsageError("empty cell list")
+    cells = [tok.strip() for tok in args.cells.split(",")]
+    bad = [c for c in cells if c not in ABLATION_CELLS]
     if bad:
         raise UsageError(f"unknown ablation cells: {', '.join(bad)}")
     return {"cells": cells}
@@ -354,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                study=sweep_rank, key="rank", variants=_ranks)
     _add_study(sub, "ablate", "train every regularizer combination",
                "--cells", {"help": "comma-separated subset of: "
-                           + ",".join(c[0] for c in ABLATION_CELLS)},
+                           + ",".join(ABLATION_CELLS)},
                study=ablate_components, key="cell", variants=_cells)
 
     return parser

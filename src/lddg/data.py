@@ -296,8 +296,13 @@ def save_dataset(path, ds: DomainDataset):
 
 def load_dataset(path) -> DomainDataset:
     """Parse an LDDG-DS file; malformed input fails with the line number."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = raw.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text: {exc}") from None
     if not lines:
         raise ValueError(f"{path}: line 1: empty file, expected {_MAGIC} header")
     head = lines[0].split()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -189,23 +189,30 @@ class SweepRow:
     std: float
 
 
-# cell -> (use lambda1, use lambda2, regularizer); None keeps the base value
-ABLATION_CELLS = (
-    ("none", 0.0, 0.0, "rank"),
-    ("rank", None, 0.0, "rank"),
-    ("kl", 0.0, None, "rank"),
-    ("nuclear", None, 0.0, "nuclear"),
-    ("nuclear+kl", None, None, "nuclear"),
-    ("rank+kl", None, None, "rank"),
-)
+# cell -> the TrainConfig fields it sets; the others keep the base config's
+ABLATION_CELLS = {
+    "none": {"lambda1": 0.0, "lambda2": 0.0, "regularizer": "rank"},
+    "rank": {"lambda2": 0.0, "regularizer": "rank"},
+    "kl": {"lambda1": 0.0, "regularizer": "rank"},
+    "nuclear": {"lambda2": 0.0, "regularizer": "nuclear"},
+    "nuclear+kl": {"regularizer": "nuclear"},
+    "rank+kl": {"regularizer": "rank"},
+}
 
 
 def _study(base_cfg, sources, target, members, seeds, row):
     """The one loop of both studies: for each ``(key, overrides)`` member,
     then each seed, train ``replace(base_cfg, seed=seed, **overrides)`` and
     score it once on the target.  Returns ``row(key, accuracies, mean, std)``
-    per member (population std).  Every config is built, and so checked,
-    before the first member trains."""
+    per member (population std).  An empty or repeated list of member keys
+    or of seeds raises ``ValueError``; so does any config, as every one is
+    built before the first member trains."""
+    seeds = list(seeds)
+    for what, values in ((fields(row)[0].name, [key for key, _ in members]), ("seed", seeds)):
+        if not values:
+            raise ValueError(f"no {what} values to study")
+        if len(set(values)) != len(values):
+            raise ValueError(f"duplicate {what} values in study: {values}")
     cfgs = [[replace(base_cfg, seed=seed, **overrides) for seed in seeds]
             for _, overrides in members]
     rows = []
@@ -232,21 +239,16 @@ def ablate_components(
     accuracies plus their mean and (population) standard deviation.  The
     'nuclear' cells swap the sigma_{C+1} penalty for the nuclear norm at the
     same lambda1, which is the classical low-rank baseline.  An unknown
-    cell, a negative seed or a target the model could not score raises
-    ``ValueError`` before any training.
+    cell, an empty or repeated list of cells or seeds, a negative seed or a
+    target the model could not score raises ``ValueError`` before any
+    training.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
-    overrides = {
-        name: {"lambda1": base_cfg.lambda1 if l1 is None else l1,
-               "lambda2": base_cfg.lambda2 if l2 is None else l2,
-               "regularizer": reg}
-        for name, l1, l2, reg in ABLATION_CELLS
-    }
-    wanted = list(overrides) if cells is None else list(cells)
-    unknown = [w for w in wanted if w not in overrides]
+    wanted = list(ABLATION_CELLS) if cells is None else list(cells)
+    unknown = [w for w in wanted if w not in ABLATION_CELLS]
     if unknown:
         raise ValueError(f"unknown ablation cells: {unknown}")
-    members = [(name, overrides[name]) for name in wanted]
+    members = [(name, ABLATION_CELLS[name]) for name in wanted]
     return _study(base_cfg, sources, target, members, seeds, AblationRow)
 
 
@@ -262,13 +264,12 @@ def sweep_rank(
     Returns one SweepRow per rank, in the given order.  Rank values must be
     distinct and lie in [1, min(batch rows, latent_dim) - 1], otherwise the
     penalty is structurally zero and the sweep point is meaningless; that
-    misuse, like a negative seed or a target the model could not score,
-    raises ``ValueError`` before any training.
+    misuse, like an empty rank or seed list, a repeated seed, a negative
+    seed or a target the model could not score, raises ``ValueError``
+    before any training.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     ranks = list(ranks)
-    if len(set(ranks)) != len(ranks):
-        raise ValueError(f"duplicate rank values in sweep: {ranks}")
     counts = [int(np.sum(sources.domain_ids == k)) for k in range(sources.num_domains)]
     batch_rows = sum(min(base_cfg.batch_per_domain, c) for c in counts)
     hi = min(batch_rows, base_cfg.latent_dim) - 1

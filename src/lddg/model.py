@@ -168,6 +168,17 @@ class ForwardTrace:
     sigma: np.ndarray | None = None
 
 
+def _architecture(widths):
+    """``(activation, out, in)`` of every layer in declaration order, for
+    ``widths = [input, *encoder_dims, head_hidden_dim, latent_dim, classes]``:
+    leaky-ReLU encoder layers, the shared ReLU hidden layer, the two linear
+    heads (mean, log-variance) and the linear classifier on the latent."""
+    *trunk, latent, classes = widths
+    acts = ["leaky_relu"] * (len(trunk) - 2) + ["relu"]
+    head = ("linear", latent, trunk[-1])
+    return [*zip(acts, trunk[1:], trunk), head, head, ("linear", classes, latent)]
+
+
 def init_params(
     input_dim: int,
     num_classes: int,
@@ -175,20 +186,13 @@ def init_params(
     rng: np.random.Generator,
 ) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
-
-    def lin(out_dim, in_dim, activation):
+    widths = [input_dim, *cfg.encoder_dims, cfg.head_hidden_dim, cfg.latent_dim, num_classes]
+    layers = []
+    for activation, out_dim, in_dim in _architecture(widths):
         w = rng.uniform(-1.0, 1.0, size=(out_dim, in_dim)) / np.sqrt(in_dim)
-        return Layer(weight=w, bias=np.zeros(out_dim), activation=activation)
-
-    dims = [input_dim, *cfg.encoder_dims]
-    encoder = [
-        lin(dims[i + 1], dims[i], "leaky_relu") for i in range(len(cfg.encoder_dims))
-    ]
-    head_hidden = lin(cfg.head_hidden_dim, dims[-1], "relu")
-    head_mu = lin(cfg.latent_dim, cfg.head_hidden_dim, "linear")
-    head_log_var = lin(cfg.latent_dim, cfg.head_hidden_dim, "linear")
-    classifier = lin(num_classes, cfg.latent_dim, "linear")
-    return ModelParams(encoder, head_hidden, head_mu, head_log_var, classifier)
+        layers.append(Layer(weight=w, bias=np.zeros(out_dim), activation=activation))
+    # encoder, then head_hidden, head_mu, head_log_var and classifier
+    return ModelParams(layers[:-4], *layers[-4:])
 
 
 def _activate(pre, kind):
@@ -416,7 +420,7 @@ def adam_step(
 #
 #   LDDG-MODEL 1
 #   <num_layers>
-#   <activation> <out> <in>     (one line per layer, declaration order)
+#   <activation> <out> <in>     (one line per layer, as _architecture lists them)
 #   DATA
 #   raw little-endian float64: weight then bias per layer, C order
 # ---------------------------------------------------------------------------
@@ -442,7 +446,11 @@ def save_checkpoint(path, params: ModelParams):
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint written by save_checkpoint; validates the header."""
+    """Read a checkpoint written by save_checkpoint.
+
+    Every header line must be the layer ``init_params`` builds for the
+    widths the header declares, and every parameter finite; any other
+    header or data raises ``ValueError`` naming the file (and the line)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head, sep, rest = raw.partition(b"DATA\n")
@@ -457,15 +465,22 @@ def load_checkpoint(path) -> ModelParams:
     (n_layers,) = _header_line(path, lines, 2, int)
     if n_layers < 5:
         raise ValueError(f"{path}: checkpoint needs >= 5 layers, found {n_layers}")
-    shapes = [_header_line(path, lines, 3 + i, _activation, int, int)
+    shapes = [tuple(_header_line(path, lines, 3 + i, _activation, int, int))
               for i in range(n_layers)]
     if len(lines) != 2 + n_layers:
         raise ValueError(f"{path}: header declares {n_layers} layers, found {len(lines) - 2}")
+    widths = [shapes[0][2], *(out for _, out, _ in shapes[:-2]), shapes[-1][1]]
+    for number, (got, want) in enumerate(zip(shapes, _architecture(widths)), start=3):
+        if got != want:
+            raise ValueError(f"{path}: line {number}: layer {' '.join(map(str, got))!r} "
+                             f"does not fit the model, expected {' '.join(map(str, want))!r}")
     need = sum(o * i + o for _, o, i in shapes) * 8
     if len(rest) != need:
         raise ValueError(
             f"{path}: expected {need} bytes of parameters, found {len(rest)}"
         )
+    if not np.all(np.isfinite(np.frombuffer(rest, dtype="<f8"))):
+        raise ValueError(f"{path}: parameters hold non-finite values (NaN or inf)")
     layers, offset = [], 0
     for act, out_dim, in_dim in shapes:
         w = np.frombuffer(rest, dtype="<f8", count=out_dim * in_dim, offset=offset)
@@ -474,10 +489,7 @@ def load_checkpoint(path) -> ModelParams:
         offset += b.nbytes
         layers.append(Layer(w.reshape(out_dim, in_dim).astype(np.float64),
                             b.astype(np.float64), act))
-    # encoder, then head_hidden, head_mu, head_log_var and classifier
-    params = ModelParams(layers[:-4], *layers[-4:])
-    _check_layer_chain(path, params)
-    return params
+    return ModelParams(layers[:-4], *layers[-4:])
 
 
 def _header_line(path, lines, number, *kinds):
@@ -497,21 +509,3 @@ def _header_line(path, lines, number, *kinds):
         text = raw.decode(errors="backslashreplace")
         raise ValueError(f"{path}: line {number}: bad header line {text!r}: {exc}") from None
     return values
-
-
-def _check_layer_chain(path, params: ModelParams):
-    """Every layer's input width must be the output width that feeds it."""
-    chain = [(f"encoder[{i}]", layer) for i, layer in enumerate(params.encoder)]
-    chain += [("head_hidden", params.head_hidden), ("head_mu", params.head_mu),
-              ("classifier", params.classifier)]  # the classifier reads the latent
-    for (prev_name, prev), (name, layer) in zip(chain, chain[1:]):
-        out_dim, in_dim = prev.weight.shape[0], layer.weight.shape[1]
-        if in_dim != out_dim:
-            raise ValueError(
-                f"{path}: {name} takes {in_dim} inputs, but {prev_name} has {out_dim} outputs"
-            )
-    if params.head_log_var.weight.shape != params.head_mu.weight.shape:
-        raise ValueError(
-            f"{path}: head_log_var has shape {params.head_log_var.weight.shape}, "
-            f"head_mu {params.head_mu.weight.shape}; they must match"
-        )

@@ -87,8 +87,11 @@ _GRID_LOG_PRIOR = -0.5 * _GRID * _GRID - 0.5 * np.log(2.0 * np.pi)
 _GRID.flags.writeable = _GRID_LOG_PRIOR.flags.writeable = False
 
 
-def make_mixture_kl_trial(seed: int, index: int = 0, num_sources: int = 3) -> TheoremTrial:
-    """Random mixture instance: K 1-D Gaussians with simplex weights.
+_KL_SOURCES = 3  # mixture components per mixture-KL trial
+
+
+def make_mixture_kl_trial(seed: int, index: int = 0) -> TheoremTrial:
+    """Random mixture instance: three 1-D Gaussians with simplex weights.
 
     Means and standard deviations are kept inside [-3, 3] x [0.3, 2.0] so the
     quadrature window [-16, 16] holds all but ~1e-12 of every component's
@@ -96,7 +99,7 @@ def make_mixture_kl_trial(seed: int, index: int = 0, num_sources: int = 3) -> Th
     exactly zero) is a ``TheoremTrial`` built by hand.
     """
     rng = np.random.default_rng([seed, 41, index])
-    k = num_sources
+    k = _KL_SOURCES
     betas = rng.uniform(0.05, 1.0, size=k)
     betas = betas / np.sum(betas)
     mus = rng.uniform(-3.0, 3.0, size=k)

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
+import lddg.cli
 from lddg.cli import main
 from lddg.data import load_dataset, save_dataset
 from lddg.experiments import evaluate
-from lddg.model import load_checkpoint
+from lddg.model import load_checkpoint, save_checkpoint
 from lddg.theory import make_mixture_kl_trial, verify_mixture_kl_bound
 
 TINY_SYNTH = {
@@ -250,6 +251,9 @@ class TestTrain:
             ("train", "head_hidden_dim", 0),
             ("train", "latent_dim", 0),
             ("train", "encoder_dims", []),
+            # json.dumps writes these as NaN and Infinity, which json.load accepts
+            ("train", "weight_decay", float("nan")),
+            ("synthetic", "target_mixture", [float("nan"), 0.4]),
         ],
     )
     def test_config_value_of_the_wrong_shape_names_the_key(
@@ -282,6 +286,27 @@ class TestTrain:
                    "--sources", str(empty)])
         assert rc == 1
         assert "no records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [("wide", "8-dim inputs but dataset has feature_dim=3"), ("nope.txt", "nope.txt")],
+    )
+    def test_target_is_checked_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch, target, message
+    ):
+        wide = tmp_path / "wide"
+        wide.write_text("LDDG-DS 1 1 2 3 1\n0 0 1.0 2.0 3.0\n")
+
+        def unreachable(*args):
+            raise AssertionError("train ran before the target was checked")
+
+        monkeypatch.setattr(lddg.cli, "train", unreachable)
+        rc = main(["train", "--config", str(workspace["config"]),
+                   "--sources", str(workspace["sources"]),
+                   "--target", str(tmp_path / target), "--model-out", str(tmp_path / "m.ckpt")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
 
     @pytest.mark.parametrize(
         "flag, value", [("--rank-mode", "per_batch"), ("--loss-kind", "cross_entropy")]
@@ -354,6 +379,18 @@ class TestEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert str(bad) in err and line in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, workspace, model, tmp_path, capsys, value):
+        params = load_checkpoint(model)
+        params.classifier.weight[0, 0] = value
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params)
+        rc = main(["eval", "--model", str(bad), "--data", str(workspace["target"])])
+        assert rc == 1
+        # the message alone: no numpy overflow warning reaches stderr either
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: parameters hold non-finite values (NaN or inf)\n"
 
 
 class TestVerify:
@@ -531,6 +568,35 @@ class TestAblate:
         ])
         assert rc == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not table.exists()
+
+    @pytest.mark.parametrize("cells", ["", " "])
+    def test_empty_cell_list_usage_error(self, workspace, capsys, cells):
+        rc = main([
+            "ablate", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]),
+            "--target", str(workspace["target"]),
+            "--cells", cells, "--seeds", "0",
+        ])
+        assert rc == 2
+        assert "empty cell list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cells, seeds, message",
+        [("none", "0,0", "duplicate seed values"), ("rank,rank", "0", "duplicate cell values")],
+    )
+    def test_repeated_cell_or_seed_rejected_before_training(
+        self, workspace, tmp_path, capsys, cells, seeds, message
+    ):
+        table = tmp_path / "ablate.csv"
+        rc = main([
+            "ablate", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]),
+            "--target", str(workspace["target"]),
+            "--cells", cells, "--seeds", seeds, "--out", str(table),
+        ])
+        assert rc == 1
+        assert message in capsys.readouterr().err
         assert not table.exists()
 
     def test_unknown_cell_usage_error(self, workspace, capsys):

@@ -150,6 +150,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             self.base(seed=-1)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("noise_std", float("nan")), ("offset_scale", float("inf")),
+         ("domain_scales", (1.0, float("-inf"))), ("target_mixture", (float("nan"), 0.3))],
+    )
+    def test_non_finite_floats_name_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be of type .* with finite values"):
+            self.base(**{key: value})
+
+
 class TestDatasetValidation:
     def test_rejects_inconsistent_arrays(self):
         ok = dict(
@@ -219,6 +229,9 @@ class TestDatasetFiles:
             load_dataset(path)
         path.write_text("LDDG-DS 1 1 2 3 1\n0 0 1.0 oops 3.0\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_dataset(path)
+        path.write_bytes(b"LDDG-DS 1 1 2 3 2\n0 0 1.0 2.0 3.0\n0 0 1.0 \xff 3.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: not UTF-8")):
             load_dataset(path)
 
     def test_out_of_range_record_rejected(self, tmp_path):

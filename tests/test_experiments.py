@@ -235,7 +235,7 @@ class TestAblation:
     def test_cells_and_shapes(self, tiny):
         sources, target = tiny
         rows = ablate_components(TINY_TRAIN, sources, target, seeds=(0,))
-        assert [r.cell for r in rows] == [c[0] for c in ABLATION_CELLS]
+        assert [r.cell for r in rows] == list(ABLATION_CELLS)
         for row in rows:
             assert len(row.accuracies) == 1
             assert 0.0 <= row.mean <= 1.0
@@ -282,6 +282,28 @@ class TestAblation:
             ablate_components(TINY_TRAIN, sources, bad, seeds=(0,), cells=("none",))
         with pytest.raises(ValueError, match=message):
             sweep_rank(TINY_TRAIN, sources, bad, ranks=(1,), seeds=(0,))
+        assert "train" not in counts
+
+    @pytest.mark.parametrize(
+        "study, members, seeds, message",
+        [
+            (ablate_components, {"cells": ()}, (0,), "no cell values"),
+            (ablate_components, {"cells": ("rank", "rank")}, (0,), "duplicate cell values"),
+            (ablate_components, {"cells": ("none",)}, (), "no seed values"),
+            (ablate_components, {"cells": ("none",)}, (0, 0), "duplicate seed values"),
+            (sweep_rank, {"ranks": ()}, (0,), "no rank values"),
+            (sweep_rank, {"ranks": (1,)}, (), "no seed values"),
+            (sweep_rank, {"ranks": (1,)}, (2, 1, 2), "duplicate seed values"),
+        ],
+    )
+    def test_empty_or_repeated_members_or_seeds_rejected_before_training(
+        self, tiny, monkeypatch, study, members, seeds, message
+    ):
+        sources, target = tiny
+        counts = {}
+        _count_calls(monkeypatch, lddg.experiments, "train", counts)
+        with pytest.raises(ValueError, match=message):
+            study(TINY_TRAIN, sources, target, seeds=seeds, **members)
         assert "train" not in counts
 
     def test_members_train_cell_by_cell_then_seed(self, tiny, monkeypatch):

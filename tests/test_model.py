@@ -376,10 +376,14 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "layer, shape, message",
         [
-            ("head_hidden", (4, 16), "head_hidden takes 16 inputs, but encoder"),
-            ("head_log_var", (8, 5), "head_log_var has shape"),
-            ("classifier", (5, 3), "classifier takes 3 inputs"),
+            ("head_hidden", (4, 16), "line 4: layer 'relu 4 16' does not fit the model, "
+                                     "expected 'relu 4 8'"),
+            ("head_log_var", (8, 5), "line 6: layer 'linear 8 5' does not fit the model, "
+                                     "expected 'linear 5 8'"),
+            ("classifier", (5, 3), "line 7: layer 'linear 5 3' does not fit the model, "
+                                   "expected 'linear 5 5'"),
         ],
+        ids=["head_hidden", "head_log_var", "classifier"],
     )
     def test_broken_layer_chain_rejected(self, tmp_path, layer, shape, message):
         params, _, _, _ = small_setup()
@@ -388,7 +392,36 @@ class TestCheckpoint:
         bad.bias = np.zeros(shape[0])
         path = tmp_path / "chain.ckpt"
         save_checkpoint(path, params)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"chain.ckpt: {message}"):
+            load_checkpoint(path)
+
+    # SMALL's header lines 3-7: encoder[0], head_hidden, head_mu, head_log_var,
+    # classifier; each retag is a known activation on a line that never has it
+    @pytest.mark.parametrize(
+        "number, line",
+        [(3, b"linear 8 6"), (4, b"leaky_relu 8 8"), (5, b"relu 5 8"),
+         (6, b"leaky_relu 5 8"), (7, b"relu 3 5")],
+        ids=["encoder", "head_hidden", "head_mu", "head_log_var", "classifier"],
+    )
+    def test_retagged_layer_rejected(self, tmp_path, number, line):
+        params, _, _, _ = small_setup()
+        path = tmp_path / "retag.ckpt"
+        save_checkpoint(path, params)
+        head, _, data = path.read_bytes().partition(b"DATA\n")
+        lines = head.splitlines()
+        assert lines[number - 1].split()[1:] == line.split()[1:]
+        lines[number - 1] = line
+        path.write_bytes(b"\n".join(lines) + b"\nDATA\n" + data)
+        with pytest.raises(ValueError, match=f"retag.ckpt: line {number}: layer {line.decode()!r}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        params, _, _, _ = small_setup()
+        params.classifier.bias[1] = value
+        path = tmp_path / "inf.ckpt"
+        save_checkpoint(path, params)
+        with pytest.raises(ValueError, match="inf.ckpt: parameters hold non-finite"):
             load_checkpoint(path)
 
 
@@ -417,6 +450,9 @@ class TestTrainConfig:
             ("encoder_dims", ()), ("encoder_dims", (8, 0)), ("head_hidden_dim", 0),
             ("latent_dim", 0), ("lr_decay_every", 0), ("batch_per_domain", 0),
             ("seed", -1),
+            # NaN and inf pass every range check, so the type check rejects them
+            ("weight_decay", float("nan")), ("lambda1", float("inf")),
+            ("learning_rate", float("nan")),
         ],
     )
     def test_rejects_values_of_the_wrong_type(self, key, value):

@@ -48,9 +48,20 @@ class TestMixtureKlBound:
 
     def test_single_component_is_tight(self):
         # With one source the mixture IS the component, so quadrature must
-        # reproduce the closed form: lhs == rhs within tolerance.
-        for i in range(10):
-            trial = make_mixture_kl_trial(seed=1, index=i, num_sources=1)
+        # reproduce the closed form: lhs == rhs within tolerance.  Each source
+        # is drawn from make_mixture_kl_trial's ranges.
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            mu, std = rng.uniform(-3.0, 3.0), rng.uniform(0.3, 2.0)
+            trial = TheoremTrial(
+                betas=np.array([1.0]),
+                norm_bound=1.0,
+                num_classes=2,
+                label=0,
+                source_posteriors=[
+                    GaussianPosterior(np.array([[mu]]), np.array([[2.0 * np.log(std)]]))
+                ],
+            )
             rep = verify_mixture_kl_bound(trial)
             assert abs(rep.lhs - rep.rhs) <= rep.tolerance + 1e-8
 
