@@ -122,19 +122,29 @@ def _resolve_out(flag_value, raw, key, required=True):
     return value
 
 
-def _fmt_acc(acc, digits):
-    """An accuracy to ``digits`` places, or n/a for a domain with no rows."""
-    return "n/a" if acc is None else f"{acc:.{digits}f}"
+def _fmt(value, digits, missing="n/a"):
+    """``value`` to ``digits`` places, or ``missing`` for None (an accuracy
+    of a domain with no rows, a loss part that was not computed)."""
+    return missing if value is None else f"{value:.{digits}f}"
 
 
-def _parse_int_list(text, what):
+def _split(text, what, flag):
+    """The stripped items of the comma list ``flag`` got; an empty list or
+    an empty item is a usage error naming the flag."""
+    if not text.strip():
+        raise UsageError(f"{flag}: empty {what} list")
+    items = [tok.strip() for tok in text.split(",")]
+    if "" in items:
+        raise UsageError(f"{flag}: empty item in {what} list {text!r}")
+    return items
+
+
+def _parse_int_list(text, what, flag):
+    items = _split(text, what, flag)
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in items]
     except ValueError:
-        raise UsageError(f"bad {what} list {text!r}: expected comma-separated integers")
-    if not values:
-        raise UsageError(f"empty {what} list")
-    return values
+        raise UsageError(f"{flag}: bad {what} list {text!r}: expected comma-separated integers")
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +192,9 @@ def cmd_train(args) -> int:
     last = result.epochs[-1]
     print(
         f"epoch {last.epoch}: total {last.total:.6f} "
-        f"(cls {last.cls:.6f}, rank {last.rank:.6f}, kl {last.kl:.6f})"
+        f"(cls {last.cls:.6f}, rank {_fmt(last.rank, 6, 'not computed')}, kl {last.kl:.6f})"
     )
-    accs = " ".join(_fmt_acc(a, 4) for a in source_accuracy)
+    accs = " ".join(_fmt(a, 4) for a in source_accuracy)
     print(f"source accuracy per domain: {accs}")
     if target_accuracy is not None:
         print(f"target accuracy: {target_accuracy:.4f}")
@@ -195,7 +205,7 @@ def cmd_eval(args) -> int:
     params = load_checkpoint(args.model)
     report = evaluate(params, load_dataset(args.data))
     for k, acc in enumerate(report.per_domain):
-        print(f"domain {k} accuracy: {_fmt_acc(acc, 6)}")
+        print(f"domain {k} accuracy: {_fmt(acc, 6)}")
     print(f"overall accuracy: {report.accuracy:.6f}")
     record = {"accuracy": report.accuracy, "per_domain": report.per_domain}
     if args.out:
@@ -215,7 +225,7 @@ def cmd_verify(args) -> int:
     report_path = _resolve_out(args.report, raw, "report", required=False)
     records = []
     failures = 0
-    classes = _parse_int_list(args.classes, "classes") if args.theorem == 2 else []
+    classes = _parse_int_list(args.classes, "classes", "--classes") if args.theorem == 2 else []
     for i in range(args.trials):
         try:
             if args.theorem == 1:
@@ -261,20 +271,18 @@ def _write_table(path, header, rows):
 
 def _ranks(args):
     """The sweep's ``ranks``; a repeated rank is a usage error."""
-    ranks = _parse_int_list(args.ranks, "rank")
+    ranks = _parse_int_list(args.ranks, "rank", "--ranks")
     if len(set(ranks)) != len(ranks):
         raise UsageError(f"duplicate rank values: {args.ranks}")
     return {"ranks": ranks}
 
 
 def _cells(args):
-    """The ablation's ``cells`` (None: all of them); an empty list or an
-    unknown cell is a usage error."""
+    """The ablation's ``cells`` (None: all of them); an empty list or item
+    or an unknown cell is a usage error."""
     if args.cells is None:
         return {"cells": None}
-    if not args.cells.strip():
-        raise UsageError("empty cell list")
-    cells = [tok.strip() for tok in args.cells.split(",")]
+    cells = _split(args.cells, "cell", "--cells")
     bad = [c for c in cells if c not in ABLATION_CELLS]
     if bad:
         raise UsageError(f"unknown ablation cells: {', '.join(bad)}")
@@ -287,7 +295,7 @@ def cmd_study(args) -> int:
     raw = load_config(args.config)
     cfg = _config(TrainConfig, "train", raw, args)
     variants = args.variants(args)
-    seeds = _parse_int_list(args.seeds, "seed")
+    seeds = _parse_int_list(args.seeds, "seed", "--seeds")
     sources = load_dataset(args.sources)
     target = load_dataset(args.target)
     rows = args.study(cfg, sources, target, seeds=seeds, **variants)

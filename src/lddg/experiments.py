@@ -8,12 +8,14 @@ pins the entire metrics trajectory bit-for-bit.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .data import DomainDataset, sample_batches
+from .linalg import svd
 from .model import (
     AdamState,
     ModelParams,
@@ -48,12 +50,16 @@ _LR_DECAY_FACTOR = 10.0
 
 @dataclass
 class EpochRecord:
-    """Mean loss parts over one epoch, plus the lr actually used."""
+    """Mean loss parts over one epoch, plus the lr actually used.
+
+    ``rank`` is None when the run's ``lambda1`` is 0: the penalty is then
+    not computed.
+    """
 
     epoch: int
     total: float
     cls: float
-    rank: float
+    rank: float | None
     kl: float
     lr: float
     singular_values: list | None = None
@@ -85,12 +91,14 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     Per epoch the learning rate is ``learning_rate / 10 ** (epoch //
     lr_decay_every)``.  With ``log_singular_values`` each epoch record
     keeps the top singular values of its last latent batch, read from the
-    rank penalty's SVD.  The first step on which that penalty is inert (the
+    penalty's SVD, or at ``lambda1 == 0``, where no penalty is computed
+    (the records' ``rank`` is None), from one SVD of that batch.  When the
+    rank penalty is weighted, the first step on which it is inert (the
     batch has at most C singular values) logs one warning naming its epoch,
-    batch and shape.  A non-finite loss aborts immediately with
-    the epoch and batch named, rather than letting Adam ride a NaN.  The
-    returned params are views of the run's Adam vector.  Nothing is scored.
-    Sources with no records raise ``ValueError``.
+    batch and shape.  A non-finite loss aborts immediately with the epoch
+    and batch named, rather than letting Adam ride a NaN.  The returned
+    params are views of the run's Adam vector.  Nothing is scored.  Sources
+    with no records raise ``ValueError``.
     """
     if len(sources) == 0:
         raise ValueError("sources have no records to train on")
@@ -100,20 +108,22 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     state = AdamState.for_params(params)
     rng_noise = np.random.default_rng([cfg.seed, _STREAM_NOISE])
     rank_c = cfg.rank_target or sources.num_classes
-    warn_inert = cfg.regularizer == "rank"
+    warn_inert = cfg.regularizer == "rank" and cfg.lambda1 > 0
+    # the loss parts averaged per epoch; "rank" is not computed at lambda1 == 0
+    averaged = [key for key in ("total", "cls", "rank", "kl") if cfg.lambda1 or key != "rank"]
 
     records = []
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate / _LR_DECAY_FACTOR ** (epoch // cfg.lr_decay_every)
         batches = sample_batches(sources, cfg.batch_per_domain, cfg.seed, epoch)
-        sums = {"total": 0.0, "cls": 0.0, "rank": 0.0, "kl": 0.0}
+        sums = dict.fromkeys(averaged, 0.0)
         for b_idx, rows in enumerate(batches):
             x = sources.features[rows]
             y = sources.labels[rows]
             eps = rng_noise.standard_normal((rows.size, cfg.latent_dim))
             trace = forward(params, x, eps)
             value, parts = total_loss(trace, y, cfg)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {b_idx}: "
                     f"parts={parts}"
@@ -129,9 +139,11 @@ def train(cfg: TrainConfig, sources: DomainDataset):
             for key in sums:
                 sums[key] += parts[key]
         n_b = len(batches)
-        record = EpochRecord(epoch=epoch, **{k: v / n_b for k, v in sums.items()}, lr=lr)
+        means = {"rank": None, **{k: v / n_b for k, v in sums.items()}}
+        record = EpochRecord(epoch=epoch, **means, lr=lr)
         if cfg.log_singular_values:
-            record.singular_values = [float(s) for s in trace.sigma[:_SPECTRUM_TOP_K]]
+            sigma = svd(trace.z).sigma if trace.sigma is None else trace.sigma
+            record.singular_values = [float(s) for s in sigma[:_SPECTRUM_TOP_K]]
         records.append(record)
 
     wall_time_s = time.perf_counter() - t0

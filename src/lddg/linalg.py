@@ -28,7 +28,7 @@ def as_matrix(z) -> np.ndarray:
     m = np.asarray(z, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries (NaN or Inf)")
     return m
 
@@ -60,9 +60,11 @@ def svd(z) -> SvdResult:
     if a.size == 0:
         raise ValueError(f"svd requires a non-empty matrix, got shape {a.shape}")
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    pivots = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
     signs = np.where(pivots < 0.0, -1.0, 1.0)
-    return SvdResult(u=u * signs, sigma=sigma, v=vt.T * signs)
+    u *= signs
+    vt *= signs[:, None]
+    return SvdResult(u=u, sigma=sigma, v=vt.T)
 
 
 def finite_diff_grad(f, z, h: float = 1e-5) -> np.ndarray:

@@ -49,7 +49,7 @@ def batch_mean(logits, labels):
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError(f"labels out of range for {logits.shape[1]} classes")
     losses, exps, total = _row_losses(logits, labels)
-    value = float(np.mean(losses))
+    value = float(losses.mean())
     # exps is a transposed view of the kernel's (C, n) buffer; the gradient
     # is laid out row-major, as the backward pass's products expect
     grad = np.divide(exps, total, order="C")

@@ -148,7 +148,9 @@ class ForwardTrace:
     ``total_loss`` fills the rest: the ``labels`` and ``cfg`` objects it was
     called with, the unweighted gradients of CE (w.r.t. the logits), of the
     penalty (w.r.t. z) and of KL (w.r.t. the posterior), and the singular
-    values of z from the penalty's SVD.  ``backward`` only reads them.
+    values of z from the penalty's SVD.  ``rank_sub`` and ``sigma`` stay
+    None when ``cfg.lambda1`` is 0, as the penalty is then not computed.
+    ``backward`` only reads them.
     """
 
     x: np.ndarray
@@ -195,20 +197,31 @@ def init_params(
     return ModelParams(layers[:-4], *layers[-4:])
 
 
+def _affine(h, layer):
+    """``h @ W.T + b``, with the bias added in place."""
+    out = h @ layer.weight.T
+    out += layer.bias
+    return out
+
+
 def _activate(pre, kind):
     if kind == "relu":
         return np.maximum(pre, 0.0)
     if kind == "leaky_relu":
-        return np.maximum(pre, _LEAKY_SLOPE * pre)
+        act = _LEAKY_SLOPE * pre
+        return np.maximum(pre, act, out=act)
     return pre
 
 
-def _activate_grad(pre, kind):
+def _activate_grad(d_act, pre, kind):
+    """``d_act`` times the activation's derivative at ``pre``, in place."""
     if kind == "relu":
-        return (pre > 0.0).astype(np.float64)
-    if kind == "leaky_relu":
-        return (pre > 0.0) * (1.0 - _LEAKY_SLOPE) + _LEAKY_SLOPE
-    return np.ones_like(pre)
+        d_act *= pre > 0.0
+    elif kind == "leaky_relu":
+        deriv = (pre > 0.0) * (1.0 - _LEAKY_SLOPE)
+        deriv += _LEAKY_SLOPE
+        d_act *= deriv
+    return d_act
 
 
 def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
@@ -222,20 +235,20 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     x = h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2:
         raise ValueError("forward expects a 2-D batch")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("forward received non-finite inputs")
     pres, acts = [], []
     for layer in [*params.encoder, params.head_hidden]:
-        pre = h @ layer.weight.T + layer.bias
+        pre = _affine(h, layer)
         h = _activate(pre, layer.activation)
         pres.append(pre)
         acts.append(h)
-    mu = h @ params.head_mu.weight.T + params.head_mu.bias
-    log_var_raw = h @ params.head_log_var.weight.T + params.head_log_var.bias
+    mu = _affine(h, params.head_mu)
+    log_var_raw = _affine(h, params.head_log_var)
     posterior = GaussianPosterior(mu=mu, log_var=log_var_raw)
     eps = np.zeros_like(mu) if noise is None else np.asarray(noise, dtype=np.float64)
     z = reparameterize(posterior, eps)
-    logits = z @ params.classifier.weight.T + params.classifier.bias
+    logits = _affine(z, params.classifier)
     return ForwardTrace(
         x=x,
         trunk_pre=pres,
@@ -251,32 +264,39 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
 def total_loss(trace: ForwardTrace, labels, cfg: TrainConfig):
     """Scalar objective and its additive parts; the step's only loss code.
 
-    Evaluates CE, the configured low-rank penalty of the whole latent batch
-    (``rank_loss`` at ``rank_target``, or at the class count when that is
-    None, or ``nuclear_norm``) and KL, once each, and stores their gradients
-    on the trace with ``labels`` and ``cfg`` as passed (see ForwardTrace).
-    Returns ``(value, parts)`` with parts keyed 'cls', 'rank', 'kl',
-    'total'; the total is exactly ``cls + lambda1 * rank + lambda2 * kl``.
+    Evaluates CE, KL and, when ``cfg.lambda1`` weights it, the configured
+    low-rank penalty of the whole latent batch (``rank_loss`` at
+    ``rank_target``, or at the class count when that is None, or
+    ``nuclear_norm``), once each, and stores their gradients on the trace
+    with ``labels`` and ``cfg`` as passed (see ForwardTrace).  Returns
+    ``(value, parts)`` with parts keyed 'cls', 'rank', 'kl', 'total'.  The
+    total is exactly ``cls + lambda1 * rank + lambda2 * kl``; at
+    ``lambda1 == 0`` no SVD runs, 'rank' is None (not computed) and the
+    total is exactly ``cls + lambda2 * kl``.
     """
     cls_value, trace.d_logits = batch_mean(trace.logits, labels)
-    if cfg.regularizer == "nuclear":
-        penalty = nuclear_norm(trace.z)
-    else:
-        penalty = rank_loss(trace.z, cfg.rank_target or trace.logits.shape[1])
     kl_value, trace.kl_mu, trace.kl_log_var = kl_standard_normal(trace.posterior)
-    trace.rank_sub, trace.sigma = penalty.subgradient, penalty.sigma
     trace.labels, trace.cfg = labels, cfg
-    parts = {"cls": cls_value, "rank": penalty.value, "kl": kl_value}
-    parts["total"] = cls_value + cfg.lambda1 * penalty.value + cfg.lambda2 * kl_value
-    return parts["total"], parts
+    trace.rank_sub = trace.sigma = rank = None
+    total = cls_value
+    if cfg.lambda1:
+        if cfg.regularizer == "nuclear":
+            penalty = nuclear_norm(trace.z)
+        else:
+            penalty = rank_loss(trace.z, cfg.rank_target or trace.logits.shape[1])
+        trace.rank_sub, trace.sigma, rank = penalty.subgradient, penalty.sigma, penalty.value
+        total += cfg.lambda1 * rank
+    total += cfg.lambda2 * kl_value
+    return total, {"cls": cls_value, "rank": rank, "kl": kl_value, "total": total}
 
 
 def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig):
     """Gradient of total_loss w.r.t. every parameter, as a ModelParams.
 
     Backpropagates the gradients ``total_loss(trace, labels, cfg)`` stored
-    on the trace.  A trace without them, or with them stored for other
-    ``labels`` or ``cfg`` objects, raises ``ValueError``.
+    on the trace, the penalty's only when it stored one.  A trace without
+    them, or with them stored for other ``labels`` or ``cfg`` objects,
+    raises ``ValueError``.
     """
     if trace.d_logits is None:
         raise ValueError("backward needs the gradients total_loss stores; call it first")
@@ -286,35 +306,40 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
 
     # classifier
     g_cls_w = d_logits.T @ trace.z
-    g_cls_b = np.sum(d_logits, axis=0)
+    g_cls_b = d_logits.sum(axis=0)
     d_z = d_logits @ params.classifier.weight
-    d_z = d_z + cfg.lambda1 * trace.rank_sub
+    if trace.rank_sub is not None:
+        d_z += cfg.lambda1 * trace.rank_sub
 
-    d_mu = d_z + cfg.lambda2 * trace.kl_mu
-    std = np.exp(0.5 * trace.posterior.log_var)
-    d_lv = d_z * trace.noise * 0.5 * std + cfg.lambda2 * trace.kl_log_var
+    d_mu = cfg.lambda2 * trace.kl_mu
+    d_mu += d_z
+    std = trace.posterior.log_var * 0.5
+    np.exp(std, out=std)
+    d_lv = d_z * trace.noise
+    d_lv *= 0.5
+    d_lv *= std
+    d_lv += cfg.lambda2 * trace.kl_log_var
     # the posterior clamps log_var; outside the clamp range the raw head
     # output has no effect, so its gradient is zero there
-    clamp_ok = (trace.log_var_raw > LOG_VAR_MIN) & (trace.log_var_raw < LOG_VAR_MAX)
-    d_lv = d_lv * clamp_ok
+    d_lv *= (trace.log_var_raw > LOG_VAR_MIN) & (trace.log_var_raw < LOG_VAR_MAX)
 
     top_act = trace.trunk_act[-1]
     g_mu_w = d_mu.T @ top_act
-    g_mu_b = np.sum(d_mu, axis=0)
+    g_mu_b = d_mu.sum(axis=0)
     g_lv_w = d_lv.T @ top_act
-    g_lv_b = np.sum(d_lv, axis=0)
+    g_lv_b = d_lv.sum(axis=0)
 
-    d_act = d_mu @ params.head_mu.weight + d_lv @ params.head_log_var.weight
+    d_act = d_mu @ params.head_mu.weight
+    d_act += d_lv @ params.head_log_var.weight
     trunk = [*params.encoder, params.head_hidden]
     g_trunk = []
     for i in reversed(range(len(trunk))):
         layer = trunk[i]
-        d_pre = d_act * _activate_grad(trace.trunk_pre[i], layer.activation)
+        d_pre = _activate_grad(d_act, trace.trunk_pre[i], layer.activation)
         below = trace.trunk_act[i - 1] if i > 0 else trace.x
-        g_w = d_pre.T @ below
-        g_b = np.sum(d_pre, axis=0)
-        g_trunk.append(Layer(weight=g_w, bias=g_b, activation=layer.activation))
-        d_act = d_pre @ layer.weight
+        g_trunk.append(Layer(d_pre.T @ below, d_pre.sum(axis=0), layer.activation))
+        if i:  # the gradient w.r.t. the input x is never read
+            d_act = d_pre @ layer.weight
     g_trunk.reverse()
 
     return ModelParams(
@@ -392,9 +417,8 @@ def adam_step(
             "build the state with AdamState.for_params(params)"
         )
     layers = grads.layers()
-    g = np.concatenate(
-        [layer.weight.ravel() for layer in layers] + [layer.bias.ravel() for layer in layers]
-    )
+    g = np.concatenate([layer.weight for layer in layers] + [layer.bias for layer in layers],
+                       axis=None)
     beta1, beta2 = _ADAM_BETA1, _ADAM_BETA2
     state.t += 1
     t = state.t
@@ -402,9 +426,11 @@ def adam_step(
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
+    g *= g  # g is this step's own concatenation; it becomes (1 - beta2) g^2
+    g *= 1.0 - beta2
+    v += g
     m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
+    v_hat = np.divide(v, 1.0 - beta2**t, out=g)
     if weight_decay:
         p[: state.n_weights] *= 1.0 - lr * weight_decay
     # p -= lr * m_hat / (sqrt(v_hat) + eps), in place, in that order

@@ -42,7 +42,7 @@ class GaussianPosterior:
 
     def __post_init__(self):
         self.mu = as_matrix(self.mu)
-        self.log_var = np.clip(as_matrix(self.log_var), LOG_VAR_MIN, LOG_VAR_MAX)
+        self.log_var = as_matrix(self.log_var).clip(LOG_VAR_MIN, LOG_VAR_MAX)
         if self.mu.shape != self.log_var.shape:
             raise ValueError(
                 f"mu shape {self.mu.shape} != log_var shape {self.log_var.shape}"
@@ -79,7 +79,7 @@ def rank_loss(z, num_classes: int) -> RankLossResult:
         shape = (res.u.shape[0], res.v.shape[0])
         return RankLossResult(value=0.0, subgradient=np.zeros(shape), sigma=res.sigma)
     value = float(res.sigma[num_classes])
-    sub = np.outer(res.u[:, num_classes], res.v[:, num_classes])
+    sub = res.u[:, num_classes, None] * res.v[:, num_classes]
     return RankLossResult(value=value, subgradient=sub, sigma=res.sigma)
 
 
@@ -91,7 +91,7 @@ def nuclear_norm(z) -> RankLossResult:
     """
     res = svd(z)
     return RankLossResult(
-        value=float(np.sum(res.sigma)), subgradient=res.u @ res.v.T, sigma=res.sigma
+        value=float(res.sigma.sum()), subgradient=res.u @ res.v.T, sigma=res.sigma
     )
 
 
@@ -110,10 +110,15 @@ def kl_standard_normal(posterior: GaussianPosterior):
     mu, log_var = posterior.mu, posterior.log_var
     n = mu.shape[0]
     var = np.exp(log_var)
-    value = float(np.sum(mu * mu + var - log_var - 1.0) / (2.0 * n))
-    grad_mu = mu / n
-    grad_log_var = (var - 1.0) / (2.0 * n)
-    return value, grad_mu, grad_log_var
+    terms = mu * mu
+    terms += var
+    terms -= log_var
+    terms -= 1.0
+    value = float(terms.sum() / (2.0 * n))
+    grad_log_var = var  # (var - 1) / (2 n), in var's buffer
+    grad_log_var -= 1.0
+    grad_log_var /= 2.0 * n
+    return value, mu / n, grad_log_var
 
 
 def reparameterize(posterior: GaussianPosterior, noise) -> np.ndarray:
@@ -127,6 +132,10 @@ def reparameterize(posterior: GaussianPosterior, noise) -> np.ndarray:
         raise ValueError(
             f"noise shape {eps.shape} != posterior shape {posterior.mu.shape}"
         )
-    if not np.all(np.isfinite(eps)):
+    if not np.isfinite(eps).all():
         raise ValueError("noise contains non-finite entries")
-    return posterior.mu + np.exp(0.5 * posterior.log_var) * eps
+    z = posterior.log_var * 0.5
+    np.exp(z, out=z)
+    z *= eps
+    z += posterior.mu
+    return z

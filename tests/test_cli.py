@@ -204,6 +204,24 @@ class TestTrain:
         assert acc1 is None
         assert f"source accuracy per domain: {acc0:.4f} n/a" in capsys.readouterr().out
 
+    def test_unweighted_penalty_reads_not_computed(self, workspace, tmp_path, capsys):
+        metrics = tmp_path / "metrics.jsonl"
+        rc = main([
+            "train", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]),
+            "--lambda1", "0", "--metrics-out", str(metrics),
+        ])
+        assert rc == 0
+        lines = [_strict_json(ln) for ln in metrics.read_text().splitlines()]
+        epochs = [ln for ln in lines if ln["kind"] == "epoch"]
+        assert len(epochs) == TINY_TRAIN["epochs"]
+        for rec in epochs:
+            assert list(rec) == ["kind", "epoch", "total", "cls", "rank", "kl", "lr",
+                                 "singular_values"]
+            assert rec["rank"] is None
+            np.testing.assert_allclose(rec["total"], rec["cls"] + 0.4 * rec["kl"], atol=1e-12)
+        assert "rank not computed, kl" in capsys.readouterr().out
+
     def test_flag_overrides_config_epochs(self, workspace, tmp_path):
         metrics = tmp_path / "metrics.jsonl"
         rc = main([
@@ -608,3 +626,46 @@ class TestAblate:
         ])
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
+
+
+class TestCommaLists:
+    """Every comma-list flag reads one way: an empty item is a usage error
+    that names the flag, before anything runs."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--cells", "rank,,kl"), ("--seeds", "0,,1"), ("--cells", "none,"),
+        ("--seeds", ",0"),
+    ])
+    def test_ablate_empty_item(self, workspace, tmp_path, capsys, flag, value):
+        table = tmp_path / "ablate.csv"
+        flags = {"--cells": "none", "--seeds": "0", flag: value}
+        rc = main([
+            "ablate", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]),
+            "--target", str(workspace["target"]),
+            "--out", str(table), *(tok for kv in flags.items() for tok in kv),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flag}: empty item in " \
+            f"{flag[2:-1]} list {value!r}\n"
+        assert not table.exists()
+
+    def test_sweep_rank_empty_item(self, workspace, tmp_path, capsys):
+        table = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep-rank", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]),
+            "--target", str(workspace["target"]),
+            "--ranks", "1,,2", "--seeds", "0", "--out", str(table),
+        ])
+        assert rc == 2
+        assert "--ranks: empty item in rank list '1,,2'" in capsys.readouterr().err
+        assert not table.exists()
+
+    def test_verify_classes_empty_item(self, tmp_path, capsys):
+        report = tmp_path / "t2.jsonl"
+        rc = main(["verify", "--theorem", "2", "--trials", "2", "--classes", "2,,7",
+                   "--report", str(report)])
+        assert rc == 2
+        assert "--classes: empty item in classes list '2,,7'" in capsys.readouterr().err
+        assert not report.exists()

@@ -109,6 +109,22 @@ class TestTrain:
         message = caplog.records[0].getMessage()
         assert "epoch 0, batch 0" in message and "(3, 16)" in message
 
+    @pytest.mark.parametrize("regularizer", ["rank", "nuclear"])
+    def test_unweighted_penalty_is_not_computed(self, tiny, regularizer):
+        sources, _ = tiny
+        cfg = replace(TINY_TRAIN, lambda1=0.0, regularizer=regularizer)
+        _, result = train(cfg, sources)
+        for rec in result.epochs:
+            assert rec.rank is None
+            np.testing.assert_allclose(rec.total, rec.cls + cfg.lambda2 * rec.kl, atol=1e-12)
+
+    def test_unweighted_inert_penalty_does_not_warn(self, caplog):
+        # the batches of test_inert_penalty_warns_once_per_run, at lambda1 = 0
+        sources, _ = generate_synthetic(SyntheticConfig())
+        with caplog.at_level(logging.WARNING):
+            train(TrainConfig(epochs=2, batch_per_domain=1, lambda1=0.0), sources)
+        assert not caplog.records
+
     def test_non_finite_loss_aborts_with_location(self, tiny):
         sources, _ = tiny
         huge = DomainDataset(
@@ -166,6 +182,46 @@ class TestCallsPerStep:
         assert counts["svd"] == steps
         assert counts["rank_loss"] == steps
         assert all(len(rec.singular_values) == 6 for rec in result.epochs)
+
+    @pytest.mark.parametrize("regularizer", ["rank", "nuclear"])
+    @pytest.mark.parametrize("log_spectrum", [False, True])
+    def test_no_penalty_svd_when_lambda1_is_zero(self, tiny, monkeypatch, regularizer,
+                                                 log_spectrum):
+        # at lambda1 = 0 the penalty is not computed; the spectrum, when
+        # logged, costs one SVD of each epoch's last latent batch
+        sources, _ = tiny
+        cfg = replace(TINY_TRAIN, lambda1=0.0, regularizer=regularizer,
+                      log_singular_values=log_spectrum)
+        counts = {}
+        for module in (lddg.linalg, lddg.regularizers, lddg.theory, lddg.experiments):
+            _count_calls(monkeypatch, module, "svd", counts)
+        for name in ("rank_loss", "nuclear_norm"):
+            _count_calls(monkeypatch, lddg.model, name, counts)
+        _count_calls(monkeypatch, lddg.experiments, "adam_step", counts)
+        _, result = train(cfg, sources)
+        assert counts.pop("adam_step") == cfg.epochs * 4
+        assert counts == ({"svd": cfg.epochs} if log_spectrum else {})
+        assert all((rec.singular_values is not None) == log_spectrum for rec in result.epochs)
+
+    @pytest.mark.parametrize("lambda1", [0.0, 0.01])
+    def test_spectrum_is_the_last_svd_of_each_epoch(self, tiny, monkeypatch, lambda1):
+        sources, _ = tiny
+        cfg = replace(TINY_TRAIN, lambda1=lambda1, log_singular_values=True)
+        calls = []
+        original = lddg.linalg.svd
+
+        def spy(z):
+            res = original(z)
+            calls.append(res.sigma.copy())
+            return res
+
+        for module in (lddg.linalg, lddg.regularizers, lddg.experiments):
+            monkeypatch.setattr(module, "svd", spy)
+        _, result = train(cfg, sources)
+        per_epoch = len(calls) // cfg.epochs
+        assert per_epoch == (4 if lambda1 else 1)
+        for rec, sigma in zip(result.epochs, calls[per_epoch - 1::per_epoch]):
+            assert rec.singular_values == [float(s) for s in sigma]
 
     def test_inert_penalty_still_records_the_spectrum(self, tiny):
         # one row per domain: 2-row batches never exceed rank C = 2

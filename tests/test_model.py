@@ -104,9 +104,15 @@ class TestLeakyRelu:
         want = np.where(pre > 0.0, pre, _LEAKY_SLOPE * pre)
         want_grad = np.where(pre > 0.0, 1.0, _LEAKY_SLOPE)
         got = _activate(pre, "leaky_relu")
-        got_grad = _activate_grad(pre, "leaky_relu")
+        got_grad = _activate_grad(np.ones_like(pre), pre, "leaky_relu")
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_grad, want_grad)
+        # the gradient scales d_act in place, as d_act * want_grad would
+        d_act = rng.standard_normal(pre.shape)
+        scaled = d_act.copy()
+        assert _activate_grad(scaled, pre, "leaky_relu") is scaled
+        np.testing.assert_array_equal(scaled, d_act * want_grad)
+        np.testing.assert_array_equal(np.signbit(scaled), np.signbit(d_act * want_grad))
         # assert_array_equal treats -0.0 == 0.0; the signs must agree too
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
         np.testing.assert_array_equal(np.signbit(got_grad), np.signbit(want_grad))
@@ -152,6 +158,32 @@ class TestTotalLoss:
         trace = forward(params, x, noise)
         _, parts = total_loss(trace, labels, cfg)
         assert parts["rank"] == nuclear_norm(trace.z).value
+
+    @pytest.mark.parametrize("regularizer", ["rank", "nuclear"])
+    def test_unweighted_penalty_is_not_computed(self, regularizer):
+        cfg = TrainConfig(
+            lambda1=0.0, lambda2=0.3, latent_dim=5, encoder_dims=(8,),
+            head_hidden_dim=8, regularizer=regularizer,
+        )
+        params, x, labels, noise = small_setup(cfg=cfg)
+        trace = forward(params, x, noise)
+        value, parts = total_loss(trace, labels, cfg)
+        assert parts["rank"] is None
+        assert trace.rank_sub is None and trace.sigma is None
+        assert value == parts["total"] == parts["cls"] + cfg.lambda2 * parts["kl"]
+        # the same bits as the weighted form's cls + 0.0 * rank + lambda2 * kl
+        weighted = forward(params, x, noise)
+        _, with_rank = total_loss(weighted, labels, SMALL)
+        assert value == (with_rank["cls"] + 0.0 * with_rank["rank"]
+                         + cfg.lambda2 * with_rank["kl"])
+        # backpropagating 0.0 times the penalty's subgradient changes no bit
+        grads = backward(params, trace, labels, cfg)
+        padded = forward(params, x, noise)
+        total_loss(padded, labels, cfg)
+        penalty = rank_loss(padded.z, 3) if regularizer == "rank" else nuclear_norm(padded.z)
+        padded.rank_sub = penalty.subgradient
+        for a, b in zip(grads.flat(), backward(params, padded, labels, cfg).flat()):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestBackward:
