@@ -13,8 +13,8 @@ ignored.  sweep-rank and ablate are one command body (``cmd_study``) over
 two studies that share one training loop.
 
 Exit codes: 0 on success, 1 when a command's contract fails (unreadable or
-malformed data, non-finite loss, a bound trial violated, ...), 2 for usage
-errors (bad flags, bad config keys).
+malformed data, a diverging run, an allocation too large, a bound trial
+violated, ...), 2 for usage errors (bad flags, bad config keys).
 """
 
 from __future__ import annotations
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

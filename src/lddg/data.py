@@ -320,15 +320,16 @@ def load_dataset(path) -> DomainDataset:
         raise ValueError(
             f"{path}: header declares {n} records but file has {len(lines) - 1}"
         )
+    # every field count is checked before the arrays are sized from the header
+    for i, line in enumerate(lines[1:], start=2):
+        fields = len(line.split())
+        if fields != 2 + fd:
+            raise ValueError(f"{path}: line {i}: expected {2 + fd} fields, got {fields}")
     feats = np.empty((n, fd))
     labels = np.empty(n, dtype=np.int64)
     domains = np.empty(n, dtype=np.int64)
     for i, line in enumerate(lines[1:], start=2):
         toks = line.split()
-        if len(toks) != 2 + fd:
-            raise ValueError(
-                f"{path}: line {i}: expected {2 + fd} fields, got {len(toks)}"
-            )
         try:
             domains[i - 2] = int(toks[0])
             labels[i - 2] = int(toks[1])

@@ -95,10 +95,11 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     (the records' ``rank`` is None), from one SVD of that batch.  When the
     rank penalty is weighted, the first step on which it is inert (the
     batch has at most C singular values) logs one warning naming its epoch,
-    batch and shape.  A non-finite loss aborts immediately with the epoch
-    and batch named, rather than letting Adam ride a NaN.  The returned
-    params are views of the run's Adam vector.  Nothing is scored.  Sources
-    with no records raise ``ValueError``.
+    batch and shape.  A diverging run (a non-finite activation or loss)
+    raises ``RuntimeError`` naming the epoch and batch, rather than letting
+    Adam ride a NaN.  The returned params are views of the run's Adam
+    vector.  Nothing is scored.  Sources with no records raise
+    ``ValueError``.
     """
     if len(sources) == 0:
         raise ValueError("sources have no records to train on")
@@ -121,13 +122,15 @@ def train(cfg: TrainConfig, sources: DomainDataset):
             x = sources.features[rows]
             y = sources.labels[rows]
             eps = rng_noise.standard_normal((rows.size, cfg.latent_dim))
-            trace = forward(params, x, eps)
-            value, parts = total_loss(trace, y, cfg)
-            if not math.isfinite(value):
+            try:
+                trace = forward(params, x, eps)
+                value, parts = total_loss(trace, y, cfg)
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite loss, parts={parts}")
+            except ValueError as exc:  # the inputs are finite: the run diverged
                 raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch {b_idx}: "
-                    f"parts={parts}"
-                )
+                    f"training diverged at epoch {epoch}, batch {b_idx}: {exc}"
+                ) from None
             if warn_inert and trace.sigma.size <= rank_c:
                 logger.warning(
                     "rank penalty inert from epoch %d, batch %d: latent batch %s "

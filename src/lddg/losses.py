@@ -50,8 +50,8 @@ def batch_mean(logits, labels):
         raise ValueError(f"labels out of range for {logits.shape[1]} classes")
     losses, exps, total = _row_losses(logits, labels)
     value = float(losses.mean())
-    # exps is a transposed view of the kernel's (C, n) buffer; the gradient
-    # is laid out row-major, as the backward pass's products expect
+    # exps is column-major below 8 classes; the gradient is laid out
+    # row-major, as the backward pass's products expect
     grad = np.divide(exps, total, order="C")
     grad[np.arange(n), labels] -= 1.0
     grad /= n
@@ -64,48 +64,19 @@ def _row_losses(logits, labels):
     losses, the max-shifted exponentials and their (n, 1) row sums, whose
     ratio is the softmax.
 
-    The row max and row sum run over the C rows of a contiguous copy of
-    ``logits.T``, one whole column at a time: numpy reduces a short last
-    axis row by row, which costs three to four times as much for C up to
-    about ten (from about 50 classes on, the transposed copy and the calls
-    per column cost as much or more).  The sum keeps ``np.sum(axis=1)``'s
-    order, so every bit matches.
+    The exponentials are a copy of the logits, column-major below 8 classes
+    and row-major from 8 on.  Column-major, the row max and row sum run one
+    whole column at a time (numpy reduces a short last axis row by row, at
+    three to four times the cost) and add the C values in sequence, as
+    numpy's summation does below 8 values; row-major, they are numpy's own
+    row reductions.  Either way every bit equals ``np.sum(axis=1)``'s.
     """
-    cols = logits.T.copy()
-    m = cols.max(axis=0)
-    cols -= m
-    np.exp(cols, out=cols)
-    total = _pairwise_sum(cols)
-    losses = np.log(total)
+    exps = np.array(logits, order="F" if logits.shape[1] < 8 else "C")
+    m = exps.max(axis=1)
+    exps -= m[:, None]
+    np.exp(exps, out=exps)
+    total = exps.sum(axis=1, keepdims=True)
+    losses = np.log(total[:, 0])
     losses += m
     losses -= logits[np.arange(logits.shape[0]), labels]
-    return losses, cols.T, total[:, None]
-
-
-def _pairwise_sum(rows):
-    """Sum over axis 0 of a (C, n) array, in the order numpy's pairwise
-    summation adds a contiguous run of C values: in sequence below 8; up to
-    128 into eight interleaved partial sums, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover rows in
-    sequence; above 128 as two halves split at a multiple of 8."""
-    c = rows.shape[0]
-    if c < 8:
-        total = rows[0].copy()
-        for row in rows[1:]:
-            total += row
-        return total
-    if c <= 128:
-        r = rows[:8].copy()
-        full = c - c % 8
-        for i in range(8, full, 8):
-            r += rows[i:i + 8]
-        for step in (1, 2, 4):
-            r[::2 * step] += r[step::2 * step]
-        total = r[0]
-        for row in rows[full:]:
-            total += row
-        return total
-    half = c // 2 - c // 2 % 8
-    total = _pairwise_sum(rows[:half])
-    total += _pairwise_sum(rows[half:])
-    return total
+    return losses, exps, total

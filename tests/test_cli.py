@@ -448,6 +448,15 @@ class TestVerify:
         assert name in capsys.readouterr().err
         assert not report.exists()
 
+    def test_allocation_failure_is_a_message(self, tmp_path, capsys):
+        # more samples than any address space holds: the allocation fails at once
+        report = tmp_path / "t2.jsonl"
+        rc = main(["verify", "--theorem", "2", "--trials", "1", "--report", str(report),
+                   "--samples", "100000000000000000"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not report.exists()
+
     def test_theorem_2_cycles_class_counts(self, tmp_path, capsys):
         report = tmp_path / "t2.jsonl"
         rc = main(["verify", "--theorem", "2", "--trials", "4",

@@ -227,6 +227,11 @@ class TestDatasetFiles:
         path.write_text("LDDG-DS 1 1 2 3 1\n0 0 1.0 2.0\n")
         with pytest.raises(ValueError, match="line 2"):
             load_dataset(path)
+        # a feature width no record has fails at the record, before allocating
+        path.write_text("LDDG-DS 1 1 2 100000000000000000 1\n0 0 1.0\n")
+        msg = f"{path}: line 2: expected 100000000000000002 fields, got 3"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            load_dataset(path)
         path.write_text("LDDG-DS 1 1 2 3 1\n0 0 1.0 oops 3.0\n")
         with pytest.raises(ValueError, match="line 2"):
             load_dataset(path)

@@ -140,6 +140,15 @@ class TestTrain:
         ):
             train(replace(TINY_TRAIN, epochs=1), huge)
 
+    def test_diverging_run_names_epoch_and_batch(self, tiny):
+        # Adam's first step at this rate makes the next batch's activations
+        # non-finite, before any loss is taken of them
+        sources, _ = tiny
+        with pytest.warns(RuntimeWarning), pytest.raises(
+            RuntimeError, match=r"^training diverged at epoch 0, batch 1: "
+        ):
+            train(replace(TINY_TRAIN, learning_rate=1e200), sources)
+
 
 def _count_calls(monkeypatch, module, name, counts):
     original = getattr(module, name)

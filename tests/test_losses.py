@@ -109,11 +109,15 @@ class TestRowKernel:
             logits = _logits(rng, c)
             labels = (c - 1 if label_kind == "scalar"
                       else rng.integers(0, c, logits.shape[0]))
-            got = _row_losses(logits, labels)
-            want = _reference_row_losses(logits, labels)
-            for name, g, w in zip(("losses", "exps", "total"), got, want):
-                assert g.shape == w.shape, (c, name)
-                assert g.tobytes() == w.tobytes(), f"{name} differs at C = {c}"
+            # all 40 rows, then one ordinary row, one row with a tied maximum
+            # and two rows: one all-equal, one of magnitude 1e3
+            for rows in (slice(None), slice(0, 1), slice(10, 11), slice(24, 26)):
+                sub = labels if label_kind == "scalar" else labels[rows]
+                got = _row_losses(logits[rows], sub)
+                want = _reference_row_losses(logits[rows], sub)
+                for name, g, w in zip(("losses", "exps", "total"), got, want):
+                    assert g.shape == w.shape, (c, rows, name)
+                    assert g.tobytes() == w.tobytes(), f"{name} differs at C = {c}, rows {rows}"
 
     def test_batch_mean_matches_row_reductions_bit_for_bit(self):
         rng = np.random.default_rng(12)
@@ -129,7 +133,7 @@ class TestRowKernel:
             assert got.tobytes() == (grad / logits.shape[0]).tobytes(), c
 
     def test_leaves_the_logits_untouched(self):
-        for shape in ((1, 5), (5, 1), (6, 3)):
+        for shape in ((1, 5), (5, 1), (6, 3), (4, 9)):
             logits = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
             before = logits.copy()
             _row_losses(logits, 0)
