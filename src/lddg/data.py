@@ -294,48 +294,63 @@ def save_dataset(path, ds: DomainDataset):
             fh.write(f"{ds.domain_ids[i]} {ds.labels[i]} {feats}\n")
 
 
-def load_dataset(path) -> DomainDataset:
-    """Parse an LDDG-DS file; malformed input fails with the line number."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = raw.decode().splitlines()
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {line}: not UTF-8 text: {exc}") from None
-    if not lines:
+def _header(path, line):
+    """``(num_domains, num_classes, feature_dim, num_records)`` of the
+    header ``line`` ("" for an empty file); a malformed header raises
+    ``ValueError``."""
+    if not line:
         raise ValueError(f"{path}: line 1: empty file, expected {_MAGIC} header")
-    head = lines[0].split()
+    line = line.removesuffix("\n").removesuffix("\r")
+    head = line.split()
     if len(head) != 6 or head[0] != _MAGIC:
-        raise ValueError(f"{path}: line 1: malformed header {lines[0]!r}")
+        raise ValueError(f"{path}: line 1: malformed header {line!r}")
     try:
         version, k_dom, n_cls, fd, n = (int(tok) for tok in head[1:])
     except ValueError:
-        raise ValueError(f"{path}: line 1: non-integer header field in {lines[0]!r}")
+        raise ValueError(f"{path}: line 1: non-integer header field in {line!r}") from None
     if version != _VERSION:
         raise ValueError(f"{path}: line 1: unsupported format version {version}")
     if min(k_dom, n_cls, fd) < 1 or n < 0:
-        raise ValueError(f"{path}: line 1: counts must be >= 1, records >= 0: {lines[0]!r}")
-    if len(lines) - 1 != n:
-        raise ValueError(
-            f"{path}: header declares {n} records but file has {len(lines) - 1}"
-        )
-    # every field count is checked before the arrays are sized from the header
-    for i, line in enumerate(lines[1:], start=2):
-        fields = len(line.split())
-        if fields != 2 + fd:
-            raise ValueError(f"{path}: line {i}: expected {2 + fd} fields, got {fields}")
+        raise ValueError(f"{path}: line 1: counts must be >= 1, records >= 0: {line!r}")
+    return k_dom, n_cls, fd, n
+
+
+def load_dataset(path) -> DomainDataset:
+    """Parse an LDDG-DS file; malformed input fails with the line number.
+
+    A line ends at ``\\n``.  The file is read twice, one line at a time:
+    the first pass checks the header, that each line is UTF-8, the record
+    count and every record's field count, so the arrays are sized from the
+    header only once the records fit it; the second parses the values into
+    them.  No more than one line's text is held at a time.
+    """
+    with open(path, "rb") as fh:
+        number, bad = 1, None
+        try:
+            k_dom, n_cls, fd, n = _header(path, fh.readline().decode())
+            for number, raw in enumerate(fh, start=2):
+                fields = len(raw.decode().split())
+                if fields != 2 + fd and bad is None:
+                    bad = f"{path}: line {number}: expected {2 + fd} fields, got {fields}"
+        except UnicodeDecodeError as exc:  # the position counts from the line's start
+            raise ValueError(f"{path}: line {number}: not UTF-8 text: {exc}") from None
+    if number - 1 != n:
+        raise ValueError(f"{path}: header declares {n} records but file has {number - 1}")
+    if bad is not None:
+        raise ValueError(bad)
     feats = np.empty((n, fd))
     labels = np.empty(n, dtype=np.int64)
     domains = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(lines[1:], start=2):
-        toks = line.split()
-        try:
-            domains[i - 2] = int(toks[0])
-            labels[i - 2] = int(toks[1])
-            feats[i - 2] = [float(t) for t in toks[2:]]
-        except ValueError:
-            raise ValueError(f"{path}: line {i}: non-numeric field")
+    with open(path, "rb") as fh:
+        fh.readline()  # the header, checked above
+        for row, raw in enumerate(fh):
+            domain, label, *values = raw.decode().split()
+            try:
+                domains[row] = int(domain)
+                labels[row] = int(label)
+                feats[row] = values  # numpy parses each as float() does
+            except ValueError:
+                raise ValueError(f"{path}: line {row + 2}: non-numeric field") from None
     try:
         return DomainDataset(
             num_domains=k_dom,

@@ -20,6 +20,8 @@ from .model import (
     AdamState,
     ModelParams,
     TrainConfig,
+    _affine,
+    _trunk,
     adam_step,
     backward,
     forward,
@@ -97,9 +99,10 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     batch has at most C singular values) logs one warning naming its epoch,
     batch and shape.  A diverging run (a non-finite activation or loss)
     raises ``RuntimeError`` naming the epoch and batch, rather than letting
-    Adam ride a NaN.  The returned params are views of the run's Adam
-    vector.  Nothing is scored.  Sources with no records raise
-    ``ValueError``.
+    Adam ride a NaN.  A step's arrays are dropped once the next batch is
+    drawn, so one step's arrays are alive at a time.  The returned params
+    are views of the run's Adam vector.  Nothing is scored.  Sources with
+    no records raise ``ValueError``.
     """
     if len(sources) == 0:
         raise ValueError("sources have no records to train on")
@@ -122,6 +125,10 @@ def train(cfg: TrainConfig, sources: DomainDataset):
             x = sources.features[rows]
             y = sources.labels[rows]
             eps = rng_noise.standard_normal((rows.size, cfg.latent_dim))
+            # the previous step's arrays go now, not at the end of their own
+            # step: with this batch drawn above them, freeing them leaves a
+            # hole the step refills, not a heap top the C allocator trims
+            trace = grads = None
             try:
                 trace = forward(params, x, eps)
                 value, parts = total_loss(trace, y, cfg)
@@ -172,14 +179,17 @@ def _check_fits(ds: DomainDataset, in_dim: int, n_cls: int):
 def evaluate(params: ModelParams, ds: DomainDataset) -> EvalReport:
     """Accuracy at the posterior mean (zero noise); argmax ties -> lowest index.
 
-    A domain with no rows in ``ds`` has accuracy None.  Raises
-    ``ValueError`` when the dataset has no records, its feature width is
-    not the model's input width, or it has more classes than the model
-    scores.
+    At zero noise the latent is the posterior mean, so only the trunk, the
+    mean head and the classifier run.  A domain with no rows in
+    ``ds`` has accuracy None.  Raises ``ValueError`` when the dataset has no
+    records, its feature width is not the model's input width, it has more
+    classes than the model scores, or the model's logits are not finite.
     """
     _check_fits(ds, params.layers()[0].weight.shape[1], params.classifier.weight.shape[0])
-    trace = forward(params, ds.features, None)
-    pred = np.argmax(trace.logits, axis=1)
+    logits = _affine(_affine(_trunk(params, ds.features), params.head_mu), params.classifier)
+    if not np.isfinite(logits).all():
+        raise ValueError("the model's logits hold non-finite values (NaN or inf)")
+    pred = np.argmax(logits, axis=1)
     correct = pred == ds.labels
     per_domain = []
     for k in range(ds.num_domains):

@@ -143,8 +143,10 @@ class ForwardTrace:
     """Everything the backward pass needs from one training step.
 
     ``forward`` fills the fields up to ``logits``; the trunk is
-    ``[*params.encoder, params.head_hidden]``, and ``trunk_pre`` and
-    ``trunk_act`` hold each of its layers' pre-activations and outputs.
+    ``[*params.encoder, params.head_hidden]``, and ``trunk_act`` holds each
+    of its layers' outputs.  Neither the pre-activations nor the unclamped
+    log-variance are kept: ``backward`` reads each activation's mask off its
+    output and the clamp's mask off the clamped log-variance.
     ``total_loss`` fills the rest: the ``labels`` and ``cfg`` objects it was
     called with, the unweighted gradients of CE (w.r.t. the logits), of the
     penalty (w.r.t. z) and of KL (w.r.t. the posterior), and the singular
@@ -154,9 +156,7 @@ class ForwardTrace:
     """
 
     x: np.ndarray
-    trunk_pre: list
     trunk_act: list
-    log_var_raw: np.ndarray
     posterior: GaussianPosterior
     noise: np.ndarray
     z: np.ndarray
@@ -205,23 +205,36 @@ def _affine(h, layer):
 
 
 def _activate(pre, kind):
+    """The activation ``kind`` of ``pre``, written into ``pre``'s buffer."""
     if kind == "relu":
-        return np.maximum(pre, 0.0)
-    if kind == "leaky_relu":
-        act = _LEAKY_SLOPE * pre
-        return np.maximum(pre, act, out=act)
+        np.maximum(pre, 0.0, out=pre)
+    elif kind == "leaky_relu":
+        np.maximum(pre, _LEAKY_SLOPE * pre, out=pre)
     return pre
 
 
-def _activate_grad(d_act, pre, kind):
-    """``d_act`` times the activation's derivative at ``pre``, in place."""
+def _activate_grad(d_act, act, kind):
+    """``d_act`` times the activation's derivative, in place, read off the
+    activation's output ``act``: with a positive slope, an output is > 0
+    exactly where its input is."""
     if kind == "relu":
-        d_act *= pre > 0.0
+        d_act *= act > 0.0
     elif kind == "leaky_relu":
-        deriv = (pre > 0.0) * (1.0 - _LEAKY_SLOPE)
+        deriv = (act > 0.0) * (1.0 - _LEAKY_SLOPE)
         deriv += _LEAKY_SLOPE
         d_act *= deriv
     return d_act
+
+
+def _trunk(params, h, acts=None):
+    """The trunk's output on the batch ``h``; with ``acts``, each of its
+    layers' outputs is appended to that list."""
+    for layer in [*params.encoder, params.head_hidden]:
+        h = _affine(h, layer)  # unless acts keeps it, the input is freed here
+        _activate(h, layer.activation)
+        if acts is not None:
+            acts.append(h)
+    return h
 
 
 def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
@@ -229,31 +242,24 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
 
     ``noise`` is the reparameterization draw and must have the posterior's
     shape (any other shape raises ``ValueError``); None (or anything
-    all-zero) evaluates at the posterior mean, which is the deterministic
-    mode used for accuracy measurements.
+    all-zero) evaluates at the posterior mean.  ``evaluate`` scores that
+    mean without a trace, through the same trunk.
     """
-    x = h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
         raise ValueError("forward expects a 2-D batch")
-    if not np.isfinite(h).all():
+    if not np.isfinite(x).all():
         raise ValueError("forward received non-finite inputs")
-    pres, acts = [], []
-    for layer in [*params.encoder, params.head_hidden]:
-        pre = _affine(h, layer)
-        h = _activate(pre, layer.activation)
-        pres.append(pre)
-        acts.append(h)
+    acts = []
+    h = _trunk(params, x, acts)
     mu = _affine(h, params.head_mu)
-    log_var_raw = _affine(h, params.head_log_var)
-    posterior = GaussianPosterior(mu=mu, log_var=log_var_raw)
+    posterior = GaussianPosterior(mu=mu, log_var=_affine(h, params.head_log_var))
     eps = np.zeros_like(mu) if noise is None else np.asarray(noise, dtype=np.float64)
     z = reparameterize(posterior, eps)
     logits = _affine(z, params.classifier)
     return ForwardTrace(
         x=x,
-        trunk_pre=pres,
         trunk_act=acts,
-        log_var_raw=log_var_raw,
         posterior=posterior,
         noise=eps,
         z=z,
@@ -315,13 +321,16 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     d_mu += d_z
     std = trace.posterior.log_var * 0.5
     np.exp(std, out=std)
-    d_lv = d_z * trace.noise
+    d_lv = d_z  # d_z is spent; d_lv = d_z * noise * 0.5 * std, in its buffer
+    d_lv *= trace.noise
     d_lv *= 0.5
     d_lv *= std
-    d_lv += cfg.lambda2 * trace.kl_log_var
+    d_lv += np.multiply(trace.kl_log_var, cfg.lambda2, out=std)
     # the posterior clamps log_var; outside the clamp range the raw head
-    # output has no effect, so its gradient is zero there
-    d_lv *= (trace.log_var_raw > LOG_VAR_MIN) & (trace.log_var_raw < LOG_VAR_MAX)
+    # output has no effect, so its gradient is zero there.  The clamped value
+    # lies strictly inside the range exactly where the raw one does.
+    log_var = trace.posterior.log_var
+    d_lv *= (log_var > LOG_VAR_MIN) & (log_var < LOG_VAR_MAX)
 
     top_act = trace.trunk_act[-1]
     g_mu_w = d_mu.T @ top_act
@@ -331,11 +340,12 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
 
     d_act = d_mu @ params.head_mu.weight
     d_act += d_lv @ params.head_log_var.weight
+    del d_mu, d_lv, std  # the trunk's gradients need only d_act
     trunk = [*params.encoder, params.head_hidden]
     g_trunk = []
     for i in reversed(range(len(trunk))):
         layer = trunk[i]
-        d_pre = _activate_grad(d_act, trace.trunk_pre[i], layer.activation)
+        d_pre = _activate_grad(d_act, trace.trunk_act[i], layer.activation)
         below = trace.trunk_act[i - 1] if i > 0 else trace.x
         g_trunk.append(Layer(d_pre.T @ below, d_pre.sum(axis=0), layer.activation))
         if i:  # the gradient w.r.t. the input x is never read

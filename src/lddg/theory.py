@@ -69,8 +69,30 @@ class BoundReport:
 
 
 def gaussian_kl_to_standard(mu: float, var: float) -> float:
-    """Closed-form KL( N(mu, var) || N(0, 1) )."""
+    """Closed-form KL( N(mu, var) || N(0, 1) ).
+
+    A ``var`` that is not positive and finite raises ``ValueError``.
+    """
+    if not 0.0 < var < np.inf:
+        raise ValueError(f"var must be positive and finite, got {var!r}")
     return 0.5 * (mu * mu + var - np.log(var) - 1.0)
+
+
+def _weights(trial, dim):
+    """``trial.betas`` as an array, one weight per source posterior, each
+    posterior one sample of ``dim`` latents; otherwise ``ValueError``."""
+    betas = np.asarray(trial.betas, dtype=np.float64)
+    posts = trial.source_posteriors
+    if betas.shape != (len(posts),):
+        raise ValueError(
+            f"trial has betas of shape {betas.shape} for {len(posts)} source posteriors"
+        )
+    for post in posts:
+        if post.mu.shape != (1, dim):
+            raise ValueError(
+                f"source posterior has shape {post.mu.shape}, expected {(1, dim)}"
+            )
+    return betas
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +152,10 @@ def verify_mixture_kl_bound(trial: TheoremTrial) -> BoundReport:
     lhs: KL of the beta-mixture against N(0,1), integrated on [-16, 16] with
     composite Simpson; the reported tolerance combines the Simpson refinement
     estimate with a constant floor for the truncated tails.  rhs: the
-    beta-weighted closed-form KLs.
+    beta-weighted closed-form KLs.  The trial needs one weight per source
+    posterior and 1 x 1 posteriors, else ``ValueError``.
     """
-    betas = np.asarray(trial.betas, dtype=np.float64)
+    betas = _weights(trial, 1)
     if np.any(betas < 0.0):
         raise ValueError("mixture weights must be non-negative")
     if abs(float(np.sum(betas)) - 1.0) > 1e-9:
@@ -243,14 +266,16 @@ def verify_risk_bound(
     vectors with the beta weights, and averages the cross-entropy.  The
     tolerance is three combined standard errors (lhs estimate plus the
     epsilon measurement scaled by M).  A standard error needs at least two
-    draws, so ``samples < 2`` raises ``ValueError``.
+    draws, so ``samples < 2`` raises ``ValueError``; so does a trial without
+    one weight per source posterior, or with a posterior that is not one
+    sample of the classifier's input width.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     if trial.epsilon is None or trial.classifier is None:
         raise ValueError("risk-bound trial must carry epsilon and a classifier")
     weight, bias = trial.classifier
-    betas = np.asarray(trial.betas, dtype=np.float64)
+    betas = _weights(trial, weight.shape[1])
     rng = np.random.default_rng([seed, 47, index])
     combined = np.zeros((samples, trial.num_classes))
     scores = np.empty_like(combined)

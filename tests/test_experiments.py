@@ -232,6 +232,24 @@ class TestCallsPerStep:
         for rec, sigma in zip(result.epochs, calls[per_epoch - 1::per_epoch]):
             assert rec.singular_values == [float(s) for s in sigma]
 
+    @pytest.mark.parametrize("lambda1", [0.0, 0.5])
+    def test_spectrum_is_that_of_the_last_batch(self, tiny, monkeypatch, lambda1):
+        sources, _ = tiny
+        cfg = replace(TINY_TRAIN, lambda1=lambda1, log_singular_values=True)
+        latents = []
+        original = lddg.experiments.forward
+
+        def recording(params, x, noise=None):
+            trace = original(params, x, noise)
+            latents.append(trace.z.copy())
+            return trace
+
+        monkeypatch.setattr(lddg.experiments, "forward", recording)
+        _, result = train(cfg, sources)
+        assert len(latents) == cfg.epochs * 4
+        for rec, z in zip(result.epochs, latents[3::4]):
+            assert rec.singular_values == [float(s) for s in lddg.linalg.svd(z).sigma]
+
     def test_inert_penalty_still_records_the_spectrum(self, tiny):
         # one row per domain: 2-row batches never exceed rank C = 2
         sources, _ = tiny
@@ -254,6 +272,17 @@ class TestCallsPerStep:
         counts.clear()
         sweep_rank(replace(TINY_TRAIN, epochs=1), sources, target, ranks=(1, 2, 3), seeds=(0,))
         assert counts["evaluate"] == 3
+
+
+def _posterior_mean_predictions(params, features):
+    """Argmax of the classifier at the posterior mean, in plain numpy."""
+    h = features
+    for layer in [*params.encoder, params.head_hidden]:
+        pre = h @ layer.weight.T + layer.bias
+        slope = 0.01 if layer.activation == "leaky_relu" else 0.0
+        h = np.where(pre > 0.0, pre, slope * pre)
+    mu = h @ params.head_mu.weight.T + params.head_mu.bias
+    return np.argmax(mu @ params.classifier.weight.T + params.classifier.bias, axis=1)
 
 
 class TestEvaluate:
@@ -281,6 +310,34 @@ class TestEvaluate:
             )
         np.testing.assert_allclose(report.accuracy, np.mean(correct))
 
+
+    @pytest.mark.parametrize("case", ["random", "saturated_log_var", "dead_relu"])
+    def test_equals_a_plain_numpy_posterior_mean_argmax(self, case):
+        sources, target = generate_synthetic(SyntheticConfig(offset_scale=0.6))
+        rng = np.random.default_rng(7)
+        params = lddg.model.init_params(16, 4, TrainConfig(), rng)
+        for layer in params.layers():
+            layer.weight = rng.standard_normal(layer.weight.shape)
+            layer.bias = rng.standard_normal(layer.bias.shape)
+        if case == "saturated_log_var":  # every log-variance far outside +-30
+            params.head_log_var.bias = np.where(np.arange(16) % 2, 1e3, -1e3)
+        if case == "dead_relu":  # half of the shared ReLU units never fire
+            params.head_hidden.bias[::2] = -1e3
+        for ds in (sources, target):
+            pred = np.argmax(forward(params, ds.features, None).logits, axis=1)
+            oracle = _posterior_mean_predictions(params, ds.features)
+            np.testing.assert_array_equal(pred, oracle)
+            assert evaluate(params, ds).accuracy == float(np.mean(oracle == ds.labels))
+
+    def test_non_finite_logits_raise(self, tiny):
+        sources, target = tiny
+        params, _ = train(TINY_TRAIN, sources)
+        params.head_mu.bias = params.head_mu.bias + 1e300  # the latents overflow the logits
+        params.classifier.weight = params.classifier.weight * 1e300
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="logits hold non-finite values"
+        ):
+            evaluate(params, target)
 
     def test_rejects_a_dataset_the_model_does_not_fit(self, tiny):
         sources, target = tiny

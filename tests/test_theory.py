@@ -38,6 +38,16 @@ class TestGaussianKl:
             assert gaussian_kl_to_standard(mu, var) >= 0.0
 
 
+    @pytest.mark.parametrize("var", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_a_variance_that_is_not_positive_and_finite(self, var):
+        with pytest.raises(ValueError, match=f"var must be positive and finite, got {var}"):
+            gaussian_kl_to_standard(0.0, var)
+
+
+def _posterior(*mu):
+    return GaussianPosterior(np.array([mu]), np.zeros((1, len(mu))))
+
+
 class TestMixtureKlBound:
     def test_trials_satisfy_bound(self):
         for i in range(50):
@@ -124,6 +134,20 @@ class TestMixtureKlBound:
         with pytest.raises(ValueError):
             verify_mixture_kl_bound(trial)
 
+    def test_one_weight_per_posterior(self):
+        # one weight for three posteriors used to check a one-component mixture
+        trial = make_mixture_kl_trial(seed=4)
+        trial.betas = np.array([1.0])
+        with pytest.raises(ValueError, match=r"betas of shape \(1,\) for 3 source posteriors"):
+            verify_mixture_kl_bound(trial)
+
+    def test_posteriors_are_one_by_one(self):
+        # a 1 x 2 posterior used to be read at [0, 0] alone
+        trial = make_mixture_kl_trial(seed=4)
+        trial.source_posteriors[1] = _posterior(0.5, -0.5)
+        with pytest.raises(ValueError, match=r"shape \(1, 2\), expected \(1, 1\)"):
+            verify_mixture_kl_bound(trial)
+
     def test_trial_builder_deterministic(self):
         a = make_mixture_kl_trial(seed=5, index=7)
         b = make_mixture_kl_trial(seed=5, index=7)
@@ -177,6 +201,19 @@ class TestRiskBound:
         trial = make_mixture_kl_trial(seed=4)
         with pytest.raises(ValueError):
             verify_risk_bound(trial)
+
+    def test_one_weight_per_posterior(self):
+        # a fourth weight for three posteriors used to be ignored
+        trial = make_risk_bound_trial(seed=5, num_classes=3)
+        trial.betas = np.append(trial.betas, 0.5)
+        with pytest.raises(ValueError, match=r"betas of shape \(4,\) for 3 source posteriors"):
+            verify_risk_bound(trial, samples=100)
+
+    def test_posteriors_are_one_sample_of_the_classifier_s_width(self):
+        trial = make_risk_bound_trial(seed=5, num_classes=3)
+        trial.source_posteriors[0] = _posterior(*([0.0] * 5))
+        with pytest.raises(ValueError, match=r"shape \(1, 5\), expected \(1, 6\)"):
+            verify_risk_bound(trial, samples=100)
 
     def test_verifier_deterministic(self):
         trial = make_risk_bound_trial(seed=5, num_classes=3)

@@ -1,0 +1,85 @@
+"""Fingerprints of every result lddg computes, to compare two trees bit for bit.
+
+    PYTHONPATH=src python tools/bit_identity.py > out.txt
+
+Run it on each tree and compare the outputs: any line that differs names
+the result that changed.  It covers the study rows of all six ablation
+cells and of ranks 1-8 (with 48-row and with 600-row steps), the
+checkpoint bytes, the metrics JSONL (without its wall time) and the
+stdout of ``lddg train``, the output of ``lddg eval``, and the
+``lddg verify`` reports and stdout for both theorems.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from dataclasses import asdict, replace
+
+from lddg import cli
+from lddg.data import SyntheticConfig, generate_synthetic, save_dataset
+from lddg.experiments import ablate_components, sweep_rank
+from lddg.model import TrainConfig
+
+
+def _digest(data):
+    return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def main():
+    small = SyntheticConfig(samples_per_domain_class=20, target_samples_per_class=100)
+    sources, target = generate_synthetic(small)
+    base = TrainConfig(epochs=3)
+    for row in ablate_components(base, sources, target, seeds=(0, 1)):
+        print("ablate", repr(asdict(row)))
+    for row in sweep_rank(base, sources, target, ranks=range(1, 9), seeds=(0, 1)):
+        print("sweep-48", repr(asdict(row)))
+    # criterion 09's regime: one 600-row step per epoch
+    full = replace(base, lambda1=0.5, lambda2=0.01, learning_rate=1e-2, weight_decay=0.0,
+                   batch_per_domain=200, lr_decay_every=300, epochs=20)
+    sources6, target6 = generate_synthetic(SyntheticConfig(offset_scale=0.6))
+    for row in sweep_rank(full, sources6, target6, ranks=range(1, 9), seeds=(0, 1)):
+        print("sweep-600", repr(asdict(row)))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {name: os.path.join(tmp, name) for name in
+                ("src.txt", "tgt.txt", "model.bin", "metrics.jsonl", "eval.json",
+                 "kl.jsonl", "risk.jsonl")}
+        save_dataset(path["src.txt"], sources)
+        save_dataset(path["tgt.txt"], target)
+        code, out = _run(["train", "--sources", path["src.txt"], "--target", path["tgt.txt"],
+                          "--model-out", path["model.bin"], "--metrics-out", path["metrics.jsonl"],
+                          "--epochs", "4", "--seed", "3", "--log-singular-values"])
+        print("train exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")))
+        with open(path["model.bin"], "rb") as fh:
+            print("checkpoint", _digest(fh.read()))
+        with open(path["metrics.jsonl"]) as fh:
+            records = [json.loads(line) for line in fh]
+        for rec in records:
+            rec.pop("wall_time_s", None)
+        print("metrics", _digest(json.dumps(records)))
+        code, out = _run(["eval", "--model", path["model.bin"], "--data", path["tgt.txt"],
+                          "--out", path["eval.json"]])
+        with open(path["eval.json"]) as fh:
+            print("eval exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
+                  "record", _digest(fh.read()))
+        for theorem, report in (("1", "kl.jsonl"), ("2", "risk.jsonl")):
+            code, out = _run(["verify", "--theorem", theorem, "--trials", "40", "--seed", "7",
+                              "--report", path[report]])
+            with open(path[report]) as fh:
+                print(f"verify {theorem} exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
+                      "report", _digest(fh.read()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
