@@ -1,7 +1,8 @@
 """Tour of the SVD that powers the rank penalty.
 
-``lddg.linalg.svd`` is LAPACK's thin SVD with a fixed sign convention.  This
-demo decomposes a random matrix, checks the factorization properties, and
+``lddg.linalg.svd`` is LAPACK's thin SVD, its factors returned as they come
+(a matched pair of singular vectors may flip sign together).  This demo
+decomposes a random matrix, checks the factorization properties, and
 cross-checks the singular values against an independent oracle: the
 eigenvalues of the Gram matrix.
 """

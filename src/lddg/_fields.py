@@ -12,7 +12,6 @@ _FIELD_TYPES = {
     "float": Real,
     "bool": bool,
     "int | None": (Integral, type(None)),
-    "str | None": (str, type(None)),
 }
 
 

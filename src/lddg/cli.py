@@ -1,16 +1,15 @@
 """Command-line front end.
 
-Subcommands: gen-data, train, eval, verify, sweep-rank, ablate.  Every
-command but eval accepts ``--config``, a JSON file with up to three
-sections: ``synthetic`` and ``train`` mirror ``SyntheticConfig`` and
-``TrainConfig``, and ``outputs`` holds default paths under the keys
-sources, target, model, metrics, table and report (``_Outputs``).  Each
-section is checked by its dataclass, which rejects a wrong type or an
-out-of-range value by name; JSON lists become tuples for ``synthetic`` and
-``train``.  Explicit flags override config-file values, which override
-built-in defaults.  Unknown sections or keys are rejected rather than
-ignored.  sweep-rank and ablate are one command body (``cmd_study``) over
-two studies that share one training loop.
+Subcommands: gen-data, train, eval, verify, sweep-rank, ablate.  gen-data,
+train, sweep-rank and ablate accept ``--config``, a JSON file with up to two
+sections, ``synthetic`` and ``train``, which mirror ``SyntheticConfig`` and
+``TrainConfig``.  Each section is checked by its dataclass, which rejects a
+wrong type or an out-of-range value by name; JSON lists become tuples.
+Explicit flags override config-file values, which override built-in
+defaults.  Unknown sections or keys are rejected rather than ignored.
+Output paths come from flags only, and two outputs of one command at the
+same path are a usage error.  sweep-rank and ablate are one command body
+(``cmd_study``) over two studies that share one training loop.
 
 Exit codes: 0 on success, 1 when a command's contract fails (unreadable or
 malformed data, a diverging run, an allocation too large, a bound trial
@@ -23,9 +22,9 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 
-from ._fields import check_field_types
 from .data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from .experiments import (
     ABLATION_CELLS,
@@ -48,28 +47,13 @@ class UsageError(Exception):
     """Bad flags or bad config content; maps to exit code 2."""
 
 
-@dataclasses.dataclass
-class _Outputs:
-    """The ``outputs`` section: default output paths, by command output."""
-
-    sources: str | None = None
-    target: str | None = None
-    model: str | None = None
-    metrics: str | None = None
-    table: str | None = None
-    report: str | None = None
-
-    def __post_init__(self):
-        check_field_types(self)
-
-
 # config section -> the dataclass whose fields are its keys
-_SECTIONS = {"synthetic": SyntheticConfig, "train": TrainConfig, "outputs": _Outputs}
+_SECTIONS = {"synthetic": SyntheticConfig, "train": TrainConfig}
 
 
 def load_config(path):
-    """Parse and validate a JSON config file into its raw sections, with
-    ``outputs`` as a type-checked ``_Outputs`` (empty without a file)."""
+    """Parse a JSON config file into its raw sections (none without a file),
+    rejecting unknown sections and keys."""
     raw = {}
     if path is not None:
         try:
@@ -92,7 +76,6 @@ def load_config(path):
             raise UsageError(
                 f"{path}: unknown keys in section {section!r}: {', '.join(unknown)}"
             )
-    raw["outputs"] = _Outputs(**raw.get("outputs", {}))
     return raw
 
 
@@ -113,13 +96,11 @@ def _config(cls, section, raw, args):
     return dataclasses.replace(cls(**kwargs), **overrides)
 
 
-def _resolve_out(flag_value, raw, key, required=True):
-    if flag_value is not None:
-        return flag_value
-    value = getattr(raw["outputs"], key)
-    if value is None and required:
-        raise UsageError(f"no output path for {key!r}: pass a flag or set outputs.{key}")
-    return value
+def _check_distinct(flag_a, path_a, flag_b, path_b):
+    """Two outputs of one command at the same file would leave only the
+    second, so that is a usage error naming both flags."""
+    if path_a and path_b and os.path.realpath(path_a) == os.path.realpath(path_b):
+        raise UsageError(f"{flag_a} and {flag_b} name the same file {path_b}")
 
 
 def _fmt(value, digits, missing="n/a"):
@@ -153,10 +134,9 @@ def _parse_int_list(text, what, flag):
 
 
 def cmd_gen_data(args) -> int:
-    raw = load_config(args.config)
-    cfg = _config(SyntheticConfig, "synthetic", raw, args)
-    out_sources = _resolve_out(args.out_sources, raw, "sources")
-    out_target = _resolve_out(args.out_target, raw, "target")
+    out_sources, out_target = args.out_sources, args.out_target
+    _check_distinct("--out-sources", out_sources, "--out-target", out_target)
+    cfg = _config(SyntheticConfig, "synthetic", load_config(args.config), args)
     sources, target = generate_synthetic(cfg)
     save_dataset(out_sources, sources)
     save_dataset(out_target, target)
@@ -166,8 +146,9 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    raw = load_config(args.config)
-    cfg = _config(TrainConfig, "train", raw, args)
+    model_out, metrics_out = args.model_out, args.metrics_out
+    _check_distinct("--model-out", model_out, "--metrics-out", metrics_out)
+    cfg = _config(TrainConfig, "train", load_config(args.config), args)
     sources = load_dataset(args.sources)
     target = None
     if args.target is not None:  # checked before, not after, the whole run
@@ -176,8 +157,6 @@ def cmd_train(args) -> int:
     params, result = train(cfg, sources)
     source_accuracy = evaluate(params, sources).per_domain
     target_accuracy = None if target is None else evaluate(params, target).accuracy
-    model_out = _resolve_out(args.model_out, raw, "model", required=False)
-    metrics_out = _resolve_out(args.metrics_out, raw, "metrics", required=False)
     if model_out:
         save_checkpoint(model_out, params)
         print(f"wrote checkpoint {model_out}")
@@ -221,8 +200,6 @@ def cmd_verify(args) -> int:
         raise UsageError("--trials must be >= 1")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    raw = load_config(args.config)
-    report_path = _resolve_out(args.report, raw, "report", required=False)
     records = []
     failures = 0
     classes = _parse_int_list(args.classes, "classes", "--classes") if args.theorem == 2 else []
@@ -243,8 +220,8 @@ def cmd_verify(args) -> int:
         if not rep.satisfied:
             failures += 1
     lines = [json.dumps(r) for r in records]
-    if report_path:
-        with open(report_path, "w") as fh:
+    if args.report:
+        with open(args.report, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     else:
         for line in lines:
@@ -292,8 +269,7 @@ def _cells(args):
 def cmd_study(args) -> int:
     """sweep-rank and ablate: ``args.study`` over the variants that
     ``args.variants`` reads, as a CSV table keyed by the row's ``args.key``."""
-    raw = load_config(args.config)
-    cfg = _config(TrainConfig, "train", raw, args)
+    cfg = _config(TrainConfig, "train", load_config(args.config), args)
     variants = args.variants(args)
     seeds = _parse_int_list(args.seeds, "seed", "--seeds")
     sources = load_dataset(args.sources)
@@ -302,7 +278,7 @@ def cmd_study(args) -> int:
     header = [args.key, "mean", "std"] + [f"acc_seed{s}" for s in seeds]
     table = [[getattr(r, args.key), f"{r.mean:.6f}", f"{r.std:.6f}"]
              + [f"{a:.6f}" for a in r.accuracies] for r in rows]
-    _write_table(_resolve_out(args.out, raw, "table", required=False), header, table)
+    _write_table(args.out, header, table)
     if args.key == "rank":
         best = max(rows, key=lambda r: r.mean)
         print(f"best mean accuracy {best.mean:.4f} at rank {best.rank}")
@@ -324,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate the synthetic multi-domain benchmark")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override the generation seed")
-    p.add_argument("--out-sources", help="path for the source-domains dataset")
-    p.add_argument("--out-target", help="path for the held-out target dataset")
+    p.add_argument("--out-sources", required=True, help="path for the source-domains dataset")
+    p.add_argument("--out-target", required=True, help="path for the held-out target dataset")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train on a source dataset")
@@ -353,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="numerically check a generalization bound")
-    p.add_argument("--config", help="JSON config file")
     p.add_argument("--theorem", type=int, choices=[1, 2], required=True,
                    help="1 = mixture KL bound, 2 = combined-risk bound")
     p.add_argument("--trials", type=int, default=100)

@@ -135,8 +135,8 @@ class DomainDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.domain_ids = np.asarray(self.domain_ids, dtype=np.int64)
+        self.labels = _integers(self.labels, "labels")
+        self.domain_ids = _integers(self.domain_ids, "domain_ids")
         n = self.features.shape[0]
         if self.features.ndim != 2 or self.features.shape[1] != self.feature_dim:
             raise ValueError(
@@ -153,6 +153,20 @@ class DomainDataset:
 
     def __len__(self):
         return self.features.shape[0]
+
+
+def _integers(values, name):
+    """``values`` as int64.  A value that is not an integer (a fraction, NaN,
+    inf, or one outside int64) is a ``ValueError`` naming ``name``, found
+    before the cast, which would truncate it or warn."""
+    a = np.asarray(values)
+    if a.dtype.kind in "biu":
+        return a.astype(np.int64, copy=False)
+    a = np.asarray(a, dtype=np.float64)
+    whole = (a == np.floor(a)) & (-(2.0**63) <= a) & (a < 2.0**63)
+    if not whole.all():
+        raise ValueError(f"{name} must be int64 integers, got {float(a[~whole][0])}")
+    return a.astype(np.int64)
 
 
 def _orthonormal_columns(rng, rows: int, cols: int) -> np.ndarray:

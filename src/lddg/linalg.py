@@ -4,10 +4,11 @@ Matrices are plain ``numpy.ndarray`` objects with ``dtype=float64``.  Every
 entry point validates that its inputs are finite; NaN or Inf anywhere is a
 hard error rather than a silently propagated poison value.
 
-The SVD is LAPACK's (``np.linalg.svd``) with a fixed sign convention on top,
-so that the singular vectors the rank penalty differentiates through are a
-deterministic function of the input.  The test suite checks it against an
-independent oracle, the eigenvalues of the Gram matrix.
+The SVD is LAPACK's (``np.linalg.svd``), its factors returned as they come.
+The penalties read only singular values and products ``u_k v_k^T`` of
+matched singular vector pairs, which a sign flip of the pair leaves
+unchanged.  The test suite checks the SVD against an independent oracle,
+the eigenvalues of the Gram matrix.
 """
 
 from __future__ import annotations
@@ -50,20 +51,11 @@ class SvdResult:
 
 
 def svd(z) -> SvdResult:
-    """Thin singular value decomposition of a finite, non-empty matrix.
-
-    Sign convention: each column of ``u`` has its largest-magnitude entry
-    non-negative (ties broken by the earliest such entry), with the matching
-    column of ``v`` flipped to preserve the product.
-    """
+    """Thin singular value decomposition of a finite, non-empty matrix."""
     a = as_matrix(z)
     if a.size == 0:
         raise ValueError(f"svd requires a non-empty matrix, got shape {a.shape}")
     u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    pivots = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
-    signs = np.where(pivots < 0.0, -1.0, 1.0)
-    u *= signs
-    vt *= signs[:, None]
     return SvdResult(u=u, sigma=sigma, v=vt.T)
 
 

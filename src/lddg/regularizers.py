@@ -125,7 +125,7 @@ def reparameterize(posterior: GaussianPosterior, noise) -> np.ndarray:
     """Sample ``z = mu + exp(0.5 log_var) * noise`` (pathwise estimator).
 
     ``noise`` must already have the posterior's shape; passing zeros gives
-    the posterior mean, which is how deterministic evaluation works.
+    the posterior mean.
     """
     eps = np.asarray(noise, dtype=np.float64)
     if eps.shape != posterior.mu.shape:

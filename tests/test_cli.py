@@ -93,9 +93,20 @@ class TestGenData:
         assert src2.read_bytes() != workspace["sources"].read_bytes()
 
     def test_missing_output_path_is_usage_error(self, workspace, capsys):
-        rc = main(["gen-data", "--config", str(workspace["config"])])
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-data", "--config", str(workspace["config"])])
+        assert exc.value.code == 2
+        assert "--out-sources" in capsys.readouterr().err
+
+    def test_one_file_for_both_outputs_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "both.txt"
+        (tmp_path / "link").symlink_to(tmp_path)
+        rc = main(["gen-data", "--config", str(workspace["config"]),
+                   "--out-sources", str(out), "--out-target", str(tmp_path / "link" / "both.txt")])
         assert rc == 2
-        assert "output path" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--out-sources" in err and "--out-target" in err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -114,7 +125,7 @@ class TestGenData:
 
     def test_unknown_config_section_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        for raw in ({"synth": {}}, {"loss": {}}):
+        for raw in ({"synth": {}}, {"loss": {}}, {"outputs": {}}):
             bad.write_text(json.dumps(raw))
             assert main(["gen-data", "--config", str(bad),
                          "--out-sources", str(tmp_path / "s"),
@@ -128,15 +139,6 @@ class TestGenData:
                    "--out-target", str(tmp_path / "t")])
         assert rc == 1
         assert "num_classes" in capsys.readouterr().err
-
-    def test_output_path_of_the_wrong_type_names_the_key(self, workspace, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"synthetic": TINY_SYNTH,
-                                   "outputs": {"sources": ["a"], "target": "t.txt"}}))
-        rc = main(["gen-data", "--config", str(bad)])
-        assert rc == 1
-        assert "sources" in capsys.readouterr().err
-        assert not (tmp_path / "t.txt").exists()
 
     def test_negative_seed_names_the_seed(self, workspace, tmp_path, capsys):
         rc = main([
@@ -325,6 +327,23 @@ class TestTrain:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_one_file_for_both_outputs_is_usage_error(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(*args):
+            raise AssertionError("ran before the output paths were checked")
+
+        monkeypatch.setattr(lddg.cli, "load_dataset", unreachable)
+        monkeypatch.setattr(lddg.cli, "train", unreachable)
+        out = tmp_path / "out"
+        rc = main(["train", "--config", str(workspace["config"]),
+                   "--sources", str(workspace["sources"]),
+                   "--model-out", str(out), "--metrics-out", f"{tmp_path}/./out"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--model-out" in err and "--metrics-out" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flag, value", [("--rank-mode", "per_batch"), ("--loss-kind", "cross_entropy")]
@@ -572,18 +591,6 @@ class TestAblate:
         rows = table.read_text().splitlines()
         assert rows[0] == "cell,mean,std,acc_seed0"
         assert [r.split(",")[0] for r in rows[1:]] == ["none", "rank+kl"]
-
-    def test_output_path_of_the_wrong_type_names_the_key(self, workspace, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"train": TINY_TRAIN, "outputs": {"table": 7}}))
-        rc = main([
-            "ablate", "--config", str(bad),
-            "--sources", str(workspace["sources"]),
-            "--target", str(workspace["target"]),
-            "--cells", "none", "--seeds", "0",
-        ])
-        assert rc == 1
-        assert "table" in capsys.readouterr().err
 
     def test_negative_seed_names_the_seed_before_training(self, workspace, tmp_path, capsys):
         table = tmp_path / "ablate.csv"

@@ -182,6 +182,19 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             DomainDataset(**{**ok, "labels": np.array([0, 1])})
 
+    @pytest.mark.parametrize("field", ["labels", "domain_ids"])
+    @pytest.mark.parametrize("bad", [0.5, 0.7, 1.9, np.nan, np.inf, -np.inf])
+    def test_rejects_values_that_are_not_integers(self, field, bad):
+        arrays = {"labels": [0, 1], "domain_ids": [0, 0]}
+        arrays[field] = [0, bad]
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DomainDataset(num_domains=1, num_classes=2, feature_dim=3,
+                          features=np.zeros((2, 3)), **arrays)
+        arrays[field] = [0.0, 1.0 if field == "labels" else 0.0]
+        ds = DomainDataset(num_domains=1, num_classes=2, feature_dim=3,
+                           features=np.zeros((2, 3)), **arrays)
+        assert ds.labels.dtype == ds.domain_ids.dtype == np.int64
+
 
 class TestDatasetFiles:
     def test_round_trip_is_exact(self, tmp_path):

@@ -114,6 +114,20 @@ class TestNuclearNorm:
         np.testing.assert_allclose(res.value, 6.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(48, 16), (600, 16)])
+def test_penalties_do_not_depend_on_the_factors_signs(shape):
+    # Flipping a matched (u_k, v_k) pair leaves every product u_k v_k^T, and
+    # so U V^T, exactly as it was: both subgradients come out bit for bit.
+    rng = np.random.default_rng(shape[0])
+    z = rng.standard_normal(shape)
+    u, _, vt = np.linalg.svd(z, full_matrices=False)
+    signs = np.where(rng.random(shape[1]) < 0.5, -1.0, 1.0)
+    assert (signs < 0).any() and (signs > 0).any()
+    u, vt = u * signs, vt * signs[:, None]
+    np.testing.assert_array_equal(rank_loss(z, num_classes=4).subgradient, np.outer(u[:, 4], vt[4]))
+    np.testing.assert_array_equal(nuclear_norm(z).subgradient, u @ vt)
+
+
 class TestKlStandardNormal:
     def test_zero_at_standard_posterior(self):
         post = GaussianPosterior(np.zeros((4, 3)), np.zeros((4, 3)))

@@ -4,10 +4,12 @@
 
 Run it on each tree and compare the outputs: any line that differs names
 the result that changed.  It covers the study rows of all six ablation
-cells and of ranks 1-8 (with 48-row and with 600-row steps), the
-checkpoint bytes, the metrics JSONL (without its wall time) and the
-stdout of ``lddg train``, the output of ``lddg eval``, and the
-``lddg verify`` reports and stdout for both theorems.
+cells and of ranks 1-8 (with 48-row and with 600-row steps), the bytes
+of the two files ``lddg gen-data`` writes, the checkpoint bytes, the
+metrics JSONL (without its wall time) and the stdout of ``lddg train``,
+the output of ``lddg eval``, the ``lddg verify`` reports and stdout for
+both theorems, and the CSV tables and stdout of small ``lddg sweep-rank``
+and ``lddg ablate`` runs.
 """
 
 import contextlib
@@ -53,7 +55,15 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = {name: os.path.join(tmp, name) for name in
                 ("src.txt", "tgt.txt", "model.bin", "metrics.jsonl", "eval.json",
-                 "kl.jsonl", "risk.jsonl")}
+                 "kl.jsonl", "risk.jsonl", "gen.json", "gen-src.txt", "gen-tgt.txt",
+                 "study.json", "sweep.csv", "ablate.csv")}
+        with open(path["gen.json"], "w") as fh:
+            json.dump({"synthetic": {"seed": 4, "samples_per_domain_class": 10}}, fh)
+        code, out = _run(["gen-data", "--config", path["gen.json"], "--seed", "5",
+                          "--out-sources", path["gen-src.txt"], "--out-target", path["gen-tgt.txt"]])
+        with open(path["gen-src.txt"], "rb") as src, open(path["gen-tgt.txt"], "rb") as tgt:
+            print("gen-data exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
+                  "sources", _digest(src.read()), "target", _digest(tgt.read()))
         save_dataset(path["src.txt"], sources)
         save_dataset(path["tgt.txt"], target)
         code, out = _run(["train", "--sources", path["src.txt"], "--target", path["tgt.txt"],
@@ -78,6 +88,16 @@ def main():
             with open(path[report]) as fh:
                 print(f"verify {theorem} exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
                       "report", _digest(fh.read()))
+        with open(path["study.json"], "w") as fh:
+            json.dump({"train": {"epochs": 2, "lambda1": 0.2}}, fh)
+        data = ["--config", path["study.json"], "--sources", path["src.txt"],
+                "--target", path["tgt.txt"], "--seeds", "0,1"]
+        for name, variant in (("sweep", ["sweep-rank", "--ranks", "2,5"]),
+                              ("ablate", ["ablate", "--cells", "none,rank,nuclear+kl"])):
+            code, out = _run(variant + data + ["--out", path[f"{name}.csv"]])
+            with open(path[f"{name}.csv"]) as fh:
+                print(f"{variant[0]} exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
+                      "table", _digest(fh.read()))
     return 0
 
 
