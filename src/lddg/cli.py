@@ -7,9 +7,10 @@ sections, ``synthetic`` and ``train``, which mirror ``SyntheticConfig`` and
 wrong type or an out-of-range value by name; JSON lists become tuples.
 Explicit flags override config-file values, which override built-in
 defaults.  Unknown sections or keys are rejected rather than ignored.
-Output paths come from flags only, and two outputs of one command at the
-same path are a usage error.  sweep-rank and ablate are one command body
-(``cmd_study``) over two studies that share one training loop.
+Output paths come from flags only; an output at the path of one of the
+command's inputs or of another output is a usage error.  sweep-rank and
+ablate are one command body (``cmd_study``) over two studies that share one
+training loop.
 
 Exit codes: 0 on success, 1 when a command's contract fails (unreadable or
 malformed data, a diverging run, an allocation too large, a bound trial
@@ -19,6 +20,7 @@ violated, ...), 2 for usage errors (bad flags, bad config keys).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -96,11 +98,24 @@ def _config(cls, section, raw, args):
     return dataclasses.replace(cls(**kwargs), **overrides)
 
 
-def _check_distinct(flag_a, path_a, flag_b, path_b):
-    """Two outputs of one command at the same file would leave only the
-    second, so that is a usage error naming both flags."""
-    if path_a and path_b and os.path.realpath(path_a) == os.path.realpath(path_b):
-        raise UsageError(f"{flag_a} and {flag_b} name the same file {path_b}")
+def _check_paths(args):
+    """An output at the path of an input or of an earlier output would
+    destroy that file, so it is a usage error naming both flags.  Two
+    inputs may share a path."""
+    seen = {}
+    for flag in args.reads + args.writes:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen and flag in args.writes:
+            raise UsageError(f"{seen[real]} and {flag} name the same file {path}")
+        seen.setdefault(real, flag)
+
+
+def _output(path, **open_kwargs):
+    """The file at ``path`` opened for writing, or stdout without a path."""
+    return open(path, "w", **open_kwargs) if path else contextlib.nullcontext(sys.stdout)
 
 
 def _fmt(value, digits, missing="n/a"):
@@ -135,7 +150,6 @@ def _parse_int_list(text, what, flag):
 
 def cmd_gen_data(args) -> int:
     out_sources, out_target = args.out_sources, args.out_target
-    _check_distinct("--out-sources", out_sources, "--out-target", out_target)
     cfg = _config(SyntheticConfig, "synthetic", load_config(args.config), args)
     sources, target = generate_synthetic(cfg)
     save_dataset(out_sources, sources)
@@ -147,7 +161,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     model_out, metrics_out = args.model_out, args.metrics_out
-    _check_distinct("--model-out", model_out, "--metrics-out", metrics_out)
     cfg = _config(TrainConfig, "train", load_config(args.config), args)
     sources = load_dataset(args.sources)
     target = None
@@ -187,11 +200,8 @@ def cmd_eval(args) -> int:
         print(f"domain {k} accuracy: {_fmt(acc, 6)}")
     print(f"overall accuracy: {report.accuracy:.6f}")
     record = {"accuracy": report.accuracy, "per_domain": report.per_domain}
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(record) + "\n")
-    else:
-        print(json.dumps(record))
+    with _output(args.out) as fh:
+        fh.write(json.dumps(record) + "\n")
     return 0
 
 
@@ -219,31 +229,12 @@ def cmd_verify(args) -> int:
         records.append({"trial": i, **dataclasses.asdict(rep)})
         if not rep.satisfied:
             failures += 1
-    lines = [json.dumps(r) for r in records]
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
+    with _output(args.report) as fh:
+        fh.write("".join(json.dumps(r) + "\n" for r in records))
     print(
         f"theorem {args.theorem}: {args.trials - failures}/{args.trials} trials satisfied"
     )
     return 1 if failures else 0
-
-
-def _write_table(path, header, rows):
-    def emit(fh):
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-    if path:
-        with open(path, "w", newline="") as fh:
-            emit(fh)
-        print(f"wrote table {path}")
-    else:
-        emit(sys.stdout)
 
 
 def _ranks(args):
@@ -278,7 +269,12 @@ def cmd_study(args) -> int:
     header = [args.key, "mean", "std"] + [f"acc_seed{s}" for s in seeds]
     table = [[getattr(r, args.key), f"{r.mean:.6f}", f"{r.std:.6f}"]
              + [f"{a:.6f}" for a in r.accuracies] for r in rows]
-    _write_table(args.out, header, table)
+    with _output(args.out, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(table)
+    if args.out:
+        print(f"wrote table {args.out}")
     if args.key == "rank":
         best = max(rows, key=lambda r: r.mean)
         print(f"best mean accuracy {best.mean:.4f} at rank {best.rank}")
@@ -302,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the generation seed")
     p.add_argument("--out-sources", required=True, help="path for the source-domains dataset")
     p.add_argument("--out-target", required=True, help="path for the held-out target dataset")
-    p.set_defaults(func=cmd_gen_data)
+    p.set_defaults(func=cmd_gen_data, reads=("--config",),
+                   writes=("--out-sources", "--out-target"))
 
     p = sub.add_parser("train", help="train on a source dataset")
     p.add_argument("--config", help="JSON config file")
@@ -320,13 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="log the top singular values of the latent batch each epoch",
     )
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, reads=("--config", "--sources", "--target"),
+                   writes=("--model-out", "--metrics-out"))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--model", required=True, help="LDDG-MODEL checkpoint")
     p.add_argument("--data", required=True, help="LDDG-DS dataset")
     p.add_argument("--out", help="write the accuracy record to this path")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, reads=("--model", "--data"), writes=("--out",))
 
     p = sub.add_parser("verify", help="numerically check a generalization bound")
     p.add_argument("--theorem", type=int, choices=[1, 2], required=True,
@@ -338,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default="2,7",
                    help="class counts cycled across trials (theorem 2)")
     p.add_argument("--report", help="write per-trial records to this JSONL path")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, reads=(), writes=("--report",))
 
     _add_study(sub, "sweep-rank", "sweep the rank target and tabulate accuracy",
                "--ranks", {"default": "1,2,3,4,5,6,7,8"},
@@ -361,7 +359,8 @@ def _add_study(sub, name, help_text, variant_flag, variant_kwargs, **defaults):
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
     _add_train_overrides(p)
-    p.set_defaults(func=cmd_study, **defaults)
+    p.set_defaults(func=cmd_study, reads=("--config", "--sources", "--target"),
+                   writes=("--out",), **defaults)
 
 
 def _add_train_overrides(p):
@@ -377,6 +376,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -184,6 +184,13 @@ def _domain_map(u_shared, u_private, rotation, scales, angle_rad):
     return cols * scales  # scale each column
 
 
+def _class_means(cfg: SyntheticConfig, rng) -> np.ndarray:
+    """``alpha_k * direction_c`` as a (K, C, latent_dim_true) array; the
+    directions are ``rng``'s first draw."""
+    directions = _orthonormal_columns(rng, cfg.latent_dim_true, cfg.num_classes)
+    return np.asarray(cfg.domain_scales, dtype=np.float64)[:, None, None] * directions.T
+
+
 def generate_synthetic(cfg: SyntheticConfig):
     """Draw the source domains and the held-out target domain.
 
@@ -198,7 +205,7 @@ def generate_synthetic(cfg: SyntheticConfig):
     angle = np.deg2rad(_MIXING_ANGLE_DEG)
 
     rng_shared = np.random.default_rng([cfg.seed, _STREAM_SHARED])
-    directions = _orthonormal_columns(rng_shared, ld, n_cls)
+    means = _class_means(cfg, rng_shared)
     frame = _orthonormal_columns(rng_shared, fd, 2 * ld)
     u_shared, u_private = frame[:, :ld], frame[:, ld:]
 
@@ -221,15 +228,12 @@ def generate_synthetic(cfg: SyntheticConfig):
     off_t = sum(wj * o for wj, o in zip(w, offsets))
     map_t = _domain_map(u_shared, u_private, rot_t, scales_t, angle)
 
-    alphas = np.asarray(cfg.domain_scales, dtype=np.float64)
     rng_src = np.random.default_rng([cfg.seed, _STREAM_SOURCE_DRAWS])
     spc = cfg.samples_per_domain_class
     xs, ys, ds = [], [], []
     for k in range(k_dom):
         for c in range(n_cls):
-            z = alphas[k] * directions[:, c] + cfg.noise_std * rng_src.standard_normal(
-                (spc, ld)
-            )
+            z = means[k, c] + cfg.noise_std * rng_src.standard_normal((spc, ld))
             xs.append(z @ maps[k].T + offsets[k])
             ys.append(np.full(spc, c, dtype=np.int64))
             ds.append(np.full(spc, k, dtype=np.int64))
@@ -247,9 +251,7 @@ def generate_synthetic(cfg: SyntheticConfig):
     xt, yt = [], []
     for c in range(n_cls):
         comp = rng_tgt.choice(k_dom, size=tspc, p=w)
-        z = alphas[comp, None] * directions[:, c] + cfg.noise_std * (
-            rng_tgt.standard_normal((tspc, ld))
-        )
+        z = means[comp, c] + cfg.noise_std * rng_tgt.standard_normal((tspc, ld))
         xt.append(z @ map_t.T + off_t)
         yt.append(np.full(tspc, c, dtype=np.int64))
     target = DomainDataset(
@@ -273,14 +275,7 @@ def true_latent_matrix(cfg: SyntheticConfig) -> np.ndarray:
     a rank-C latent representation sufficient.
     """
     rng_shared = np.random.default_rng([cfg.seed, _STREAM_SHARED])
-    directions = _orthonormal_columns(rng_shared, cfg.latent_dim_true, cfg.num_classes)
-    alphas = np.asarray(cfg.domain_scales, dtype=np.float64)
-    rows = [
-        alphas[k] * directions[:, c]
-        for k in range(cfg.num_domains)
-        for c in range(cfg.num_classes)
-    ]
-    return np.array(rows)
+    return _class_means(cfg, rng_shared).reshape(-1, cfg.latent_dim_true)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import check_field_types
+from .linalg import as_matrix
 from .losses import batch_mean
 from .regularizers import (
     LOG_VAR_MAX,
@@ -245,11 +246,7 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     all-zero) evaluates at the posterior mean.  ``evaluate`` scores that
     mean without a trace, through the same trunk.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("forward expects a 2-D batch")
-    if not np.isfinite(x).all():
-        raise ValueError("forward received non-finite inputs")
+    x = as_matrix(x)
     acts = []
     h = _trunk(params, x, acts)
     mu = _affine(h, params.head_mu)

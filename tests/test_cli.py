@@ -685,3 +685,61 @@ class TestCommaLists:
         assert rc == 2
         assert "--classes: empty item in classes list '2,,7'" in capsys.readouterr().err
         assert not report.exists()
+
+
+class TestOutputOverInput:
+    """An output flag at the path of one of the command's inputs is a usage
+    error naming both flags, and the input keeps its bytes."""
+
+    @pytest.mark.parametrize("argv, victim, flags", [
+        (["eval", "--model", "{model}", "--data", "{target}", "--out", "{model}"],
+         "model", ("--model", "--out")),
+        (["ablate", "--config", "{config}", "--sources", "{sources}",
+          "--target", "{target}", "--out", "{target}"], "target", ("--target", "--out")),
+        (["gen-data", "--config", "{config}", "--out-sources", "{tmp}/s.txt",
+          "--out-target", "{config}"], "config", ("--config", "--out-target")),
+        (["train", "--sources", "{sources}", "--metrics-out", "{sources}"],
+         "sources", ("--sources", "--metrics-out")),
+    ], ids=["eval", "ablate", "gen-data", "train"])
+    def test_is_usage_error(self, workspace, model, tmp_path, capsys, argv, victim, flags):
+        paths = {"model": model, **{k: workspace[k] for k in ("config", "sources", "target")}}
+        copies = {"tmp": tmp_path}
+        for name, path in paths.items():
+            copies[name] = tmp_path / path.name
+            copies[name].write_bytes(path.read_bytes())
+        rc = main([tok.format(**copies) for tok in argv])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and flags[1] in err
+        assert copies[victim].read_bytes() == paths[victim].read_bytes()
+
+    def test_two_inputs_may_share_a_path(self, workspace, capsys):
+        rc = main(["ablate", "--config", str(workspace["config"]),
+                   "--sources", str(workspace["sources"]),
+                   "--target", str(workspace["sources"]), "--cells", "none", "--seeds", "0"])
+        assert rc == 0
+
+
+class TestStdoutMatchesFile:
+    """Without its output flag a command prints the bytes it would write to
+    the flag's file, next to the same summary lines."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "--model", "{model}", "--data", "{target}"], "--out"),
+        (["verify", "--theorem", "1", "--trials", "3"], "--report"),
+        (["verify", "--theorem", "2", "--trials", "3", "--samples", "50"], "--report"),
+        (["sweep-rank", "--config", "{config}", "--sources", "{sources}",
+          "--target", "{target}", "--ranks", "2,3", "--seeds", "0"], "--out"),
+        (["ablate", "--config", "{config}", "--sources", "{sources}",
+          "--target", "{target}", "--cells", "none,rank", "--seeds", "0"], "--out"),
+    ], ids=["eval", "verify-1", "verify-2", "sweep-rank", "ablate"])
+    def test_same_bytes(self, workspace, model, tmp_path, capsys, argv, flag):
+        argv = [tok.format(model=model, **workspace) for tok in argv]
+        out = tmp_path / "out"
+        assert main(argv + [flag, str(out)]) == 0
+        summary = "".join(line for line in capsys.readouterr().out.splitlines(keepends=True)
+                          if not line.startswith("wrote table"))
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.encode()
+        written = out.read_bytes()
+        assert printed in (summary.encode() + written, written + summary.encode())

@@ -8,8 +8,10 @@ cells and of ranks 1-8 (with 48-row and with 600-row steps), the bytes
 of the two files ``lddg gen-data`` writes, the checkpoint bytes, the
 metrics JSONL (without its wall time) and the stdout of ``lddg train``,
 the output of ``lddg eval``, the ``lddg verify`` reports and stdout for
-both theorems, and the CSV tables and stdout of small ``lddg sweep-rank``
-and ``lddg ablate`` runs.
+both theorems, the CSV tables and stdout of small ``lddg sweep-rank``
+and ``lddg ablate`` runs, the stdout of ``eval``, ``verify``, ``sweep-rank``
+and ``ablate`` when they are given no output path, and the bytes of
+``true_latent_matrix`` for the default config and a noiseless 5-domain one.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ import tempfile
 from dataclasses import asdict, replace
 
 from lddg import cli
-from lddg.data import SyntheticConfig, generate_synthetic, save_dataset
+from lddg.data import SyntheticConfig, generate_synthetic, save_dataset, true_latent_matrix
 from lddg.experiments import ablate_components, sweep_rank
 from lddg.model import TrainConfig
 
@@ -38,6 +40,11 @@ def _run(argv):
 
 
 def main():
+    noiseless = SyntheticConfig(num_domains=5, num_classes=3, feature_dim=10,
+                                latent_dim_true=5, domain_scales=(0.4, 1.1, 2.5, 0.9, 1.7),
+                                target_mixture=(0.2,) * 5, noise_std=0.0, seed=7)
+    for name, cfg in (("default", SyntheticConfig()), ("noiseless", noiseless)):
+        print("true_latent_matrix", name, _digest(true_latent_matrix(cfg).tobytes()))
     small = SyntheticConfig(samples_per_domain_class=20, target_samples_per_class=100)
     sources, target = generate_synthetic(small)
     base = TrainConfig(epochs=3)
@@ -82,12 +89,16 @@ def main():
         with open(path["eval.json"]) as fh:
             print("eval exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
                   "record", _digest(fh.read()))
+        code, out = _run(["eval", "--model", path["model.bin"], "--data", path["tgt.txt"]])
+        print("eval to stdout exit", code, "stdout", _digest(out))
         for theorem, report in (("1", "kl.jsonl"), ("2", "risk.jsonl")):
             code, out = _run(["verify", "--theorem", theorem, "--trials", "40", "--seed", "7",
                               "--report", path[report]])
             with open(path[report]) as fh:
                 print(f"verify {theorem} exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
                       "report", _digest(fh.read()))
+            code, out = _run(["verify", "--theorem", theorem, "--trials", "40", "--seed", "7"])
+            print(f"verify {theorem} to stdout exit", code, "stdout", _digest(out))
         with open(path["study.json"], "w") as fh:
             json.dump({"train": {"epochs": 2, "lambda1": 0.2}}, fh)
         data = ["--config", path["study.json"], "--sources", path["src.txt"],
@@ -98,6 +109,8 @@ def main():
             with open(path[f"{name}.csv"]) as fh:
                 print(f"{variant[0]} exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
                       "table", _digest(fh.read()))
+            code, out = _run(variant + data)
+            print(f"{variant[0]} to stdout exit", code, "stdout", _digest(out))
     return 0
 
 
