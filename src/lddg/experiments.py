@@ -8,7 +8,6 @@ pins the entire metrics trajectory bit-for-bit.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -17,10 +16,11 @@ import numpy as np
 from .data import DomainDataset, sample_batches
 from .linalg import svd
 from .model import (
-    AdamState,
     ModelParams,
     TrainConfig,
     _affine,
+    _member,
+    _stack,
     _trunk,
     adam_step,
     backward,
@@ -46,6 +46,11 @@ logger = logging.getLogger(__name__)
 
 _STREAM_INIT = 1
 _STREAM_NOISE = 2
+# the TrainConfig fields in which the members of one training group may differ
+_PER_MEMBER = ("lambda1", "lambda2", "rank_target", "regularizer", "seed")
+# a study's training groups stack at most this many latent rows per step:
+# two of criterion 09's 600-row full batches
+_GROUP_ROWS = 1200
 _SPECTRUM_TOP_K = 8
 _LR_DECAY_FACTOR = 10.0
 
@@ -87,7 +92,7 @@ class EvalReport:
     per_domain: list
 
 
-def train(cfg: TrainConfig, sources: DomainDataset):
+def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     """Train on the pooled source domains; returns ``(params, RunResult)``.
 
     Per epoch the learning rate is ``learning_rate / 10 ** (epoch //
@@ -99,65 +104,128 @@ def train(cfg: TrainConfig, sources: DomainDataset):
     batch has at most C singular values) logs one warning naming its epoch,
     batch and shape.  A diverging run (a non-finite activation or loss)
     raises ``RuntimeError`` naming the epoch and batch, rather than letting
-    Adam ride a NaN.  A step's arrays are dropped once the next batch is
-    drawn, so one step's arrays are alive at a time.  The returned params
-    are views of the run's Adam vector.  Nothing is scored.  Sources with
-    no records raise ``ValueError``.
+    Adam ride a NaN.  Each step's arrays are written into buffers
+    allocated once per call.  The returned params are views of the run's
+    Adam vector.  Nothing is scored.  Sources with no records raise
+    ``ValueError``.
+
+    ``members`` maps a label to each config of a group that trains
+    together; each differs from ``cfg`` in at most lambda1, lambda2,
+    rank_target, regularizer and seed (others raise ``ValueError``).  Every
+    step then runs ``forward``, ``total_loss``, ``backward`` and
+    ``adam_step`` once for the whole group, its members stacked on a
+    leading axis, and members that share a seed share that seed's batches,
+    rows and noise.  Returns one ``(params, RunResult)`` per member, in
+    order, each bit for bit what training that config alone returns (the
+    wall time, the group's, aside).  Warnings and errors about a member
+    name its label; the first member to diverge stops the group.
     """
     if len(sources) == 0:
         raise ValueError("sources have no records to train on")
+    group = {None: cfg} if members is None else dict(members)
+    for label, member in group.items():
+        if replace(member, **{k: getattr(cfg, k) for k in _PER_MEMBER}) != cfg:
+            raise ValueError(f"member {label} differs from the group's config in more "
+                             f"than {', '.join(_PER_MEMBER)}")
     t0 = time.perf_counter()
-    rng_init = np.random.default_rng([cfg.seed, _STREAM_INIT])
-    params = init_params(sources.feature_dim, sources.num_classes, cfg, rng_init)
-    state = AdamState.for_params(params)
-    rng_noise = np.random.default_rng([cfg.seed, _STREAM_NOISE])
-    rank_c = cfg.rank_target or sources.num_classes
-    warn_inert = cfg.regularizer == "rank" and cfg.lambda1 > 0
-    # the loss parts averaged per epoch; "rank" is not computed at lambda1 == 0
-    averaged = [key for key in ("total", "cls", "rank", "kl") if cfg.lambda1 or key != "rank"]
+    labels, cfgs = list(group), list(group.values())
+    seeds = list(dict.fromkeys(c.seed for c in cfgs))
+    seed_of = np.array([seeds.index(c.seed) for c in cfgs])
+    n_members, n_seeds = len(cfgs), len(seeds)
+    rows = _batch_rows(sources, cfg.batch_per_domain)
+    inits = [init_params(sources.feature_dim, sources.num_classes, cfg,
+                         np.random.default_rng([seed, _STREAM_INIT])) for seed in seeds]
+    params, state = _stack([inits[s] for s in seed_of], rows)
+    rng_noise = [np.random.default_rng([seed, _STREAM_NOISE]) for seed in seeds]
+    # each seed's batch rows and noise; members that share a seed with
+    # others read copies, as a stacked step needs one block per member
+    fd, d = sources.feature_dim, cfg.latent_dim
+    x_seed, eps_seed = np.empty((n_seeds, rows * fd)), np.empty((n_seeds, rows * d))
+    expand = 1 < n_seeds < n_members
+    if expand:
+        x_member = np.empty((n_members, rows * fd))
+    if n_seeds < n_members:
+        eps_member = np.empty((n_members, rows * d))
+    rank_c = [c.rank_target or sources.num_classes for c in cfgs]
+    warn_inert = [c.regularizer == "rank" and c.lambda1 > 0 for c in cfgs]
+    where = ["" if label is None else f" ({label})" for label in labels]
 
-    records = []
+    records = [[] for _ in cfgs]
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate / _LR_DECAY_FACTOR ** (epoch // cfg.lr_decay_every)
-        batches = sample_batches(sources, cfg.batch_per_domain, cfg.seed, epoch)
-        sums = dict.fromkeys(averaged, 0.0)
-        for b_idx, rows in enumerate(batches):
-            x = sources.features[rows]
-            y = sources.labels[rows]
-            eps = rng_noise.standard_normal((rows.size, cfg.latent_dim))
-            # the previous step's arrays go now, not at the end of their own
-            # step: with this batch drawn above them, freeing them leaves a
-            # hole the step refills, not a heap top the C allocator trims
+        batches = [sample_batches(sources, cfg.batch_per_domain, seed, epoch) for seed in seeds]
+        sums = np.zeros((4, n_members))  # total, cls, rank, kl
+        for b_idx, picked in enumerate(zip(*batches)):
+            n = picked[0].size
+            # the previous step's arrays go now, before this step allocates its own
             trace = grads = None
+            x = x_seed[:, : n * fd].reshape(n_seeds, n, fd)
+            eps = eps_seed[:, : n * d].reshape(n_seeds, n, d)
+            for s, batch in enumerate(picked):
+                np.take(sources.features, batch, axis=0, out=x[s], mode="clip")
+                rng_noise[s].standard_normal(out=eps[s])
+            y = np.stack([sources.labels[batch] for batch in picked])
+            if n_seeds == 1:  # one batch, shared by every member
+                x, y = x[0], y[0]
+            elif expand:
+                x = np.take(x, seed_of, axis=0, out=_rows_of(x_member, n, fd), mode="clip")
+                y = y[seed_of]
+            if n_seeds < n_members:
+                eps = np.take(eps, seed_of, axis=0, out=_rows_of(eps_member, n, d), mode="clip")
             try:
                 trace = forward(params, x, eps)
-                value, parts = total_loss(trace, y, cfg)
-                if not math.isfinite(value):
-                    raise ValueError(f"non-finite loss, parts={parts}")
+                value, parts = total_loss(trace, y, cfgs)
             except ValueError as exc:  # the inputs are finite: the run diverged
-                raise RuntimeError(
-                    f"training diverged at epoch {epoch}, batch {b_idx}: {exc}"
-                ) from None
-            if warn_inert and trace.sigma.size <= rank_c:
-                logger.warning(
-                    "rank penalty inert from epoch %d, batch %d: latent batch %s "
-                    "has at most %d singular values", epoch, b_idx, trace.z.shape, rank_c,
-                )
-                warn_inert = False
-            grads = backward(params, trace, y, cfg)
+                m = getattr(exc, "member", None)
+                raise RuntimeError(f"training diverged at epoch {epoch}, batch {b_idx}"
+                                   f"{'' if m is None else where[m]}: {exc}") from None
+            finite = np.isfinite(value)
+            if not finite.all():
+                m = int(np.argmin(finite))
+                own = {k: float(v[m]) for k, v in parts.items()}
+                if not cfgs[m].lambda1:
+                    own["rank"] = None
+                raise RuntimeError(f"training diverged at epoch {epoch}, batch {b_idx}"
+                                   f"{where[m]}: non-finite loss, parts={own}")
+            for m, sigma in enumerate(trace.sigma):
+                if warn_inert[m] and sigma.size <= rank_c[m]:
+                    logger.warning(
+                        "rank penalty inert from epoch %d, batch %d%s: latent batch %s "
+                        "has at most %d singular values", epoch, b_idx, where[m],
+                        trace.z.shape[1:], rank_c[m],
+                    )
+                    warn_inert[m] = False
+            grads = backward(params, trace, y, cfgs)
             adam_step(params, grads, state, lr, cfg.weight_decay)
-            for key in sums:
-                sums[key] += parts[key]
-        n_b = len(batches)
-        means = {"rank": None, **{k: v / n_b for k, v in sums.items()}}
-        record = EpochRecord(epoch=epoch, **means, lr=lr)
-        if cfg.log_singular_values:
-            sigma = svd(trace.z).sigma if trace.sigma is None else trace.sigma
-            record.singular_values = [float(s) for s in sigma[:_SPECTRUM_TOP_K]]
-        records.append(record)
+            for i, key in enumerate(("total", "cls", "rank", "kl")):
+                sums[i] += parts[key]
+        means = sums / len(batches[0])
+        for m, c in enumerate(cfgs):
+            total, cls, rank, kl = (float(v) for v in means[:, m])
+            record = EpochRecord(epoch=epoch, total=total, cls=cls,
+                                 rank=rank if c.lambda1 else None, kl=kl, lr=lr)
+            if cfg.log_singular_values:
+                sigma = svd(trace.z[m]).sigma if trace.sigma[m] is None else trace.sigma[m]
+                record.singular_values = [float(s) for s in sigma[:_SPECTRUM_TOP_K]]
+            records[m].append(record)
 
     wall_time_s = time.perf_counter() - t0
-    return params, RunResult(config=asdict(cfg), epochs=records, wall_time_s=wall_time_s)
+    results = [(_member(params, m), RunResult(config=asdict(c), epochs=records[m],
+                                              wall_time_s=wall_time_s))
+               for m, c in enumerate(cfgs)]
+    return results[0] if members is None else results
+
+
+def _rows_of(flat, n, width):
+    """``flat``'s (members, rows * width) buffer viewed as (members, n, width)."""
+    return flat[:, : n * width].reshape(len(flat), n, width)
+
+
+def _batch_rows(sources, batch_per_domain):
+    """Rows of an epoch's first (largest) batch: ``batch_per_domain`` from
+    each domain, or all of a smaller one."""
+    counts = np.bincount(sources.domain_ids, minlength=sources.num_domains)
+    return int(np.minimum(counts, batch_per_domain).sum())
 
 
 def _check_fits(ds: DomainDataset, in_dim: int, n_cls: int):
@@ -226,27 +294,32 @@ ABLATION_CELLS = {
 
 
 def _study(base_cfg, sources, target, members, seeds, row):
-    """The one loop of both studies: for each ``(key, overrides)`` member,
-    then each seed, train ``replace(base_cfg, seed=seed, **overrides)`` and
-    score it once on the target.  Returns ``row(key, accuracies, mean, std)``
-    per member (population std).  An empty or repeated list of member keys
-    or of seeds raises ``ValueError``; so does any config, as every one is
-    built before the first member trains."""
+    """The one loop of both studies: train ``replace(base_cfg, seed=seed,
+    **overrides)`` for each ``(key, overrides)`` member, then each seed, and
+    score each once on the target.  Members train in that order in groups
+    (see ``train``) of as many as fit ``_GROUP_ROWS`` latent rows per step.
+    Returns ``row(key, accuracies, mean, std)`` per member (population
+    std).  An empty or repeated list of member keys or of seeds raises
+    ``ValueError``; so does any config, as every one is built before the
+    first member trains."""
     seeds = list(seeds)
-    for what, values in ((fields(row)[0].name, [key for key, _ in members]), ("seed", seeds)):
+    name = fields(row)[0].name
+    for what, values in ((name, [key for key, _ in members]), ("seed", seeds)):
         if not values:
             raise ValueError(f"no {what} values to study")
         if len(set(values)) != len(values):
             raise ValueError(f"duplicate {what} values in study: {values}")
-    cfgs = [[replace(base_cfg, seed=seed, **overrides) for seed in seeds]
-            for _, overrides in members]
-    rows = []
-    for (key, _), member_cfgs in zip(members, cfgs):
-        accs = []
-        for cfg in member_cfgs:
-            params, _ = train(cfg, sources)
+    labelled = [(f"{name} {key}, seed {seed}", replace(base_cfg, seed=seed, **overrides))
+                for key, overrides in members for seed in seeds]
+    size = max(1, _GROUP_ROWS // max(1, _batch_rows(sources, base_cfg.batch_per_domain)))
+    accs = []
+    for start in range(0, len(labelled), size):
+        for params, _ in train(base_cfg, sources, dict(labelled[start : start + size])):
             accs.append(evaluate(params, target).accuracy)
-        rows.append(row(key, accs, float(np.mean(accs)), float(np.std(accs))))
+    rows = []
+    for i, (key, _) in enumerate(members):
+        own = accs[i * len(seeds) : (i + 1) * len(seeds)]
+        rows.append(row(key, own, float(np.mean(own)), float(np.std(own))))
     return rows
 
 
@@ -295,9 +368,7 @@ def sweep_rank(
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     ranks = list(ranks)
-    counts = [int(np.sum(sources.domain_ids == k)) for k in range(sources.num_domains)]
-    batch_rows = sum(min(base_cfg.batch_per_domain, c) for c in counts)
-    hi = min(batch_rows, base_cfg.latent_dim) - 1
+    hi = min(_batch_rows(sources, base_cfg.batch_per_domain), base_cfg.latent_dim) - 1
     bad = [r for r in ranks if not 1 <= r <= hi]
     if bad:
         raise ValueError(f"rank values {bad} outside [1, {hi}]")

@@ -36,33 +36,42 @@ def batch_mean(logits, labels):
     labels : (n,) integer class indices in [0, C)
 
     ``grad`` is the gradient of the *mean*, i.e. already divided by n.
+    Logits of members stacked on a leading axis, (members, n, C), take
+    labels of shape (members, n), or (n,) for one batch shared by every
+    member; the value is then an array with one mean per member.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ValueError("batch_mean expects a 2-D logits matrix")
-    n = logits.shape[0]
+    if logits.ndim not in (2, 3):
+        raise ValueError("batch_mean expects a 2-D logits matrix, or one per stacked member")
+    n = logits.shape[-2]
     if n == 0:
         raise ValueError("batch_mean needs at least one sample")
-    if labels.shape != (n,):
+    if labels.shape not in ((n,), logits.shape[:-1]):
         raise ValueError(f"labels shape {labels.shape} does not match {n} rows")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError(f"labels out of range for {logits.shape[1]} classes")
+    if labels.min() < 0 or labels.max() >= logits.shape[-1]:
+        raise ValueError(f"labels out of range for {logits.shape[-1]} classes")
     losses, exps, total = _row_losses(logits, labels)
-    value = float(losses.mean())
+    value = losses.mean(axis=-1)
     # exps is column-major below 8 classes; the gradient is laid out
     # row-major, as the backward pass's products expect
     grad = np.divide(exps, total, order="C")
-    grad[np.arange(n), labels] -= 1.0
+    grad[_label_index(logits.shape, labels)] -= 1.0
     grad /= n
-    return value, grad
+    return (float(value) if value.ndim == 0 else value), grad
+
+
+def _label_index(shape, labels):
+    """The index of each row's ``labels`` entry in an array of ``shape``
+    (..., n, C); ``labels`` is one class for all rows or one per row."""
+    return (*np.ix_(*(np.arange(k) for k in shape[:-1])), labels)
 
 
 def _row_losses(logits, labels):
     """Unchecked softmax cross-entropy of each logits row against its label
-    (one class for all rows, or an (n,) index array).  Returns the (n,)
-    losses, the max-shifted exponentials and their (n, 1) row sums, whose
-    ratio is the softmax.
+    (one class for all rows, or an index array per row).  ``logits`` is
+    (..., n, C); returns the (..., n) losses, the max-shifted exponentials
+    and their (..., n, 1) row sums, whose ratio is the softmax.
 
     The exponentials are a copy of the logits, column-major below 8 classes
     and row-major from 8 on.  Column-major, the row max and row sum run one
@@ -71,12 +80,15 @@ def _row_losses(logits, labels):
     numpy's summation does below 8 values; row-major, they are numpy's own
     row reductions.  Either way every bit equals ``np.sum(axis=1)``'s.
     """
-    exps = np.array(logits, order="F" if logits.shape[1] < 8 else "C")
-    m = exps.max(axis=1)
-    exps -= m[:, None]
+    if logits.shape[-1] < 8:  # column-major within each (n, C) matrix
+        exps = np.swapaxes(np.array(np.swapaxes(logits, -1, -2), order="C"), -1, -2)
+    else:
+        exps = np.array(logits, order="C")
+    m = exps.max(axis=-1)
+    exps -= m[..., None]
     np.exp(exps, out=exps)
-    total = exps.sum(axis=1, keepdims=True)
-    losses = np.log(total[:, 0])
+    total = exps.sum(axis=-1, keepdims=True)
+    losses = np.log(total[..., 0])
     losses += m
-    losses -= logits[np.arange(logits.shape[0]), labels]
+    losses -= logits[_label_index(logits.shape, labels)]
     return losses, exps, total

@@ -10,6 +10,7 @@ explicitly, layer by layer; tests check it against central differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -154,6 +155,11 @@ class ForwardTrace:
     values of z from the penalty's SVD.  ``rank_sub`` and ``sigma`` stay
     None when ``cfg.lambda1`` is 0, as the penalty is then not computed.
     ``backward`` only reads them.
+
+    For members stacked on a leading axis (see ``_Stacked``) every array
+    has that axis, except that ``x`` may be one (n, in) batch shared by all
+    members; ``cfg`` is then the list of the members' configs, and
+    ``rank_sub`` and ``sigma`` are lists with one entry per member.
     """
 
     x: np.ndarray
@@ -163,12 +169,12 @@ class ForwardTrace:
     z: np.ndarray
     logits: np.ndarray
     labels: np.ndarray | None = None
-    cfg: TrainConfig | None = None
+    cfg: TrainConfig | list | None = None
     d_logits: np.ndarray | None = None
-    rank_sub: np.ndarray | None = None
+    rank_sub: np.ndarray | list | None = None
     kl_mu: np.ndarray | None = None
     kl_log_var: np.ndarray | None = None
-    sigma: np.ndarray | None = None
+    sigma: np.ndarray | list | None = None
 
 
 def _architecture(widths):
@@ -198,41 +204,185 @@ def init_params(
     return ModelParams(layers[:-4], *layers[-4:])
 
 
-def _affine(h, layer):
-    """``h @ W.T + b``, with the bias added in place."""
-    out = h @ layer.weight.T
-    out += layer.bias
+def _layout(params):
+    """``(activation, out, in)`` of every layer of ``params``, in declaration order."""
+    return [(layer.activation, *layer.weight.shape[-2:]) for layer in params.layers()]
+
+
+def _flat_vector(params):
+    """Every weight matrix, then every bias, of ``params`` in one vector."""
+    layers = params.layers()
+    return np.concatenate([layer.weight.ravel() for layer in layers]
+                          + [layer.bias for layer in layers], dtype=np.float64)
+
+
+def _unflatten(flat, layout, cls=ModelParams, **extra):
+    """A ``cls`` whose arrays are views of the last axis of ``flat``, laid
+    out as ``_flat_vector`` lays them out; a leading axis of ``flat``
+    stacks members."""
+    lead = flat.shape[:-1]
+    offset, weights = 0, []
+    for _, out_dim, in_dim in layout:
+        weights.append(flat[..., offset : offset + out_dim * in_dim].reshape(*lead, out_dim, in_dim))
+        offset += out_dim * in_dim
+    layers = []
+    for (activation, out_dim, _), weight in zip(layout, weights):
+        layers.append(Layer(weight, flat[..., offset : offset + out_dim], activation))
+        offset += out_dim
+    return cls(layers[:-4], *layers[-4:], **extra)
+
+
+class _Buffers:
+    """The arrays of one training step for ``members`` stacked models of
+    ``layout`` on batches of up to ``rows`` rows, allocated once.  ``at(n)``
+    views them for an n-row batch (cached per n), each member's
+    (n, width) block contiguous, as one model's (n, width) array is."""
+
+    _LATENT = ("mu", "log_var", "d_z", "d_mu", "std")
+
+    def __init__(self, members, rows, layout):
+        self._layout = layout
+        trunk, latent, classes = layout[:-3], layout[-3][1], layout[-1][1]
+        widest = max(out for _, out, _ in trunk)
+        widths = {f"act{i}": out for i, (_, out, _) in enumerate(trunk)}
+        widths |= {"a": widest, "b": widest, "logits": classes}
+        widths |= dict.fromkeys(self._LATENT, latent)
+        self._flat = {name: np.empty((members, rows * w)) for name, w in widths.items()}
+        size = sum(out * in_dim + out for _, out, in_dim in layout)
+        grad = np.empty((members, size))
+        self.grads = _unflatten(grad, layout, _Stacked, vector=grad)
+        self.scratch = np.empty((members, size))  # Adam's temporaries
+        self._at = {}
+
+    def at(self, n):
+        views = self._at.get(n)
+        if views is None:
+            def view(name, width):
+                flat = self._flat[name]
+                return flat[:, : n * width].reshape(len(flat), n, width)
+
+            trunk, latent = self._layout[:-3], self._layout[-3][1]
+            widths = {out for _, out, _ in trunk}
+            views = self._at[n] = SimpleNamespace(
+                acts=[view(f"act{i}", out) for i, (_, out, _) in enumerate(trunk)],
+                logits=view("logits", self._layout[-1][1]),
+                # two trunk-width arrays that the trunk's gradients alternate between
+                pair=tuple({w: view(name, w) for w in widths} for name in "ab"),
+                grads=self.grads,
+                scratch=self.scratch,
+                **{name: view(name, latent) for name in self._LATENT},
+            )
+        return views
+
+
+@dataclass
+class _Stacked(ModelParams):
+    """The parameters of members stacked on a leading axis: each layer's
+    weight is (members, out, in) and its bias (members, out), views of the
+    rows of ``vector``, laid out as ``_flat_vector`` lays out one model.
+    ``forward``, ``backward`` and ``adam_step`` write one step's arrays into
+    ``buffers``, so a trace or gradients of these params hold until the
+    next such call.  ``backward`` returns gradients of this type, whose
+    ``vector`` ``adam_step`` consumes."""
+
+    vector: np.ndarray | None = None
+    buffers: _Buffers | None = None
+
+
+def _stack(members, rows):
+    """``_Stacked`` copies of ``members`` (ModelParams of one architecture;
+    one object may stand for several members) with buffers for batches of
+    up to ``rows`` rows, and the AdamState of their vector."""
+    layout = _layout(members[0])
+    vector = np.stack([_flat_vector(p) for p in members])
+    params = _unflatten(vector, layout, _Stacked, vector=vector,
+                        buffers=_Buffers(len(members), rows, layout))
+    state = AdamState(vector=vector, n_weights=sum(o * i for _, o, i in layout),
+                      views=params.flat(), m=np.zeros_like(vector), v=np.zeros_like(vector))
+    return params, state
+
+
+def _member(params, m):
+    """Member ``m`` of ``_Stacked`` params, as ModelParams viewing its row of the vector."""
+    return _unflatten(params.vector[m], _layout(params))
+
+
+def _step_arrays(params, n):
+    """``params``' step buffers viewed for n rows, or, for params without
+    buffers, the same names holding None, so every array is allocated."""
+    buffers = getattr(params, "buffers", None)
+    if buffers is not None:
+        return buffers.at(n)
+    names = ("logits", "grads", "scratch", *_Buffers._LATENT)
+    return SimpleNamespace(acts=[None] * (len(params.encoder) + 1), pair=({}, {}),
+                           **dict.fromkeys(names))
+
+
+class _MemberError(ValueError):
+    """A ValueError about one of the members stacked on a leading axis:
+    ``member`` is its index."""
+
+    def __init__(self, message, member):
+        super().__init__(message)
+        self.member = member
+
+
+def _member_error(message, bad):
+    """``ValueError(message)``; where members are stacked, ``bad`` flags
+    each member and the error names the first one it flags."""
+    if np.ndim(bad) == 0:
+        return ValueError(message)
+    return _MemberError(message, int(np.argmax(bad)))
+
+
+def _swap(a):
+    """``a`` with its last two axes swapped: each member's transpose."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _affine(h, layer, out=None):
+    """``h @ W.T + b`` of each member, into ``out`` (a new array when
+    None), with the bias added in place."""
+    out = np.matmul(h, _swap(layer.weight), out=out)
+    out += layer.bias[..., None, :]
     return out
 
 
-def _activate(pre, kind):
-    """The activation ``kind`` of ``pre``, written into ``pre``'s buffer."""
+def _activate(pre, kind, tmp=None):
+    """The activation ``kind`` of ``pre``, written into ``pre``'s buffer;
+    ``tmp`` (a new array when None) takes the leaky ReLU's slope term."""
     if kind == "relu":
         np.maximum(pre, 0.0, out=pre)
     elif kind == "leaky_relu":
-        np.maximum(pre, _LEAKY_SLOPE * pre, out=pre)
+        np.maximum(pre, np.multiply(pre, _LEAKY_SLOPE, out=tmp), out=pre)
     return pre
 
 
-def _activate_grad(d_act, act, kind):
+def _activate_grad(d_act, act, kind, tmp=None):
     """``d_act`` times the activation's derivative, in place, read off the
     activation's output ``act``: with a positive slope, an output is > 0
-    exactly where its input is."""
-    if kind == "relu":
-        d_act *= act > 0.0
-    elif kind == "leaky_relu":
-        deriv = (act > 0.0) * (1.0 - _LEAKY_SLOPE)
+    exactly where its input is.  ``tmp`` (a new array when None) takes the
+    derivative."""
+    if kind == "linear":
+        return d_act
+    deriv = np.greater(act, 0.0, out=np.empty_like(act) if tmp is None else tmp)
+    if kind == "leaky_relu":
+        deriv *= 1.0 - _LEAKY_SLOPE
         deriv += _LEAKY_SLOPE
-        d_act *= deriv
+    d_act *= deriv
     return d_act
 
 
-def _trunk(params, h, acts=None):
+def _trunk(params, h, acts=None, arrays=None):
     """The trunk's output on the batch ``h``; with ``acts``, each of its
-    layers' outputs is appended to that list."""
-    for layer in [*params.encoder, params.head_hidden]:
-        h = _affine(h, layer)  # unless acts keeps it, the input is freed here
-        _activate(h, layer.activation)
+    layers' outputs is appended to that list.  ``arrays`` (see
+    ``_step_arrays``) supplies buffers for the outputs."""
+    layers = [*params.encoder, params.head_hidden]
+    outs = [None] * len(layers) if arrays is None else arrays.acts
+    for layer, out in zip(layers, outs):
+        h = _affine(h, layer, out)  # unless acts keeps it, the input is freed here
+        tmp = None if arrays is None else arrays.pair[0].get(h.shape[-1])
+        _activate(h, layer.activation, tmp)
         if acts is not None:
             acts.append(h)
     return h
@@ -244,16 +394,31 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     ``noise`` is the reparameterization draw and must have the posterior's
     shape (any other shape raises ``ValueError``); None (or anything
     all-zero) evaluates at the posterior mean.  ``evaluate`` scores that
-    mean without a trace, through the same trunk.
+    mean without a trace, through the same trunk.  Non-finite input or
+    head outputs raise ``ValueError``.  ``_Stacked`` params take ``x`` as
+    (members, n, in), or (n, in) for one batch shared by every member.
     """
-    x = as_matrix(x)
+    stacked = isinstance(params, _Stacked)
+    x = np.asarray(x, dtype=np.float64)
+    if stacked and x.ndim == 3:
+        if x.shape[0] != len(params.vector):
+            raise ValueError(f"x holds {x.shape[0]} batches for {len(params.vector)} members")
+        if not np.isfinite(x).all():
+            raise ValueError("matrix contains non-finite entries (NaN or Inf)")
+    else:
+        x = as_matrix(x)
+    arrays = _step_arrays(params, x.shape[-2])
     acts = []
-    h = _trunk(params, x, acts)
-    mu = _affine(h, params.head_mu)
-    posterior = GaussianPosterior(mu=mu, log_var=_affine(h, params.head_log_var))
+    h = _trunk(params, x, acts, arrays)
+    mu = _affine(h, params.head_mu, arrays.mu)
+    log_var = _affine(h, params.head_log_var, arrays.log_var)
+    finite = np.isfinite(mu).all(axis=(-2, -1)) & np.isfinite(log_var).all(axis=(-2, -1))
+    if not finite.all():
+        raise _member_error("matrix contains non-finite entries (NaN or Inf)", ~finite)
+    posterior = GaussianPosterior._of_heads(mu, log_var)
     eps = np.zeros_like(mu) if noise is None else np.asarray(noise, dtype=np.float64)
     z = reparameterize(posterior, eps)
-    logits = _affine(z, params.classifier)
+    logits = _affine(z, params.classifier, arrays.logits)
     return ForwardTrace(
         x=x,
         trunk_act=acts,
@@ -262,6 +427,11 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
         z=z,
         logits=logits,
     )
+
+
+def _per_member(cfgs, name):
+    """Field ``name`` of each config, as an array."""
+    return np.array([getattr(c, name) for c in cfgs], dtype=np.float64)
 
 
 def total_loss(trace: ForwardTrace, labels, cfg: TrainConfig):
@@ -276,20 +446,41 @@ def total_loss(trace: ForwardTrace, labels, cfg: TrainConfig):
     total is exactly ``cls + lambda1 * rank + lambda2 * kl``; at
     ``lambda1 == 0`` no SVD runs, 'rank' is None (not computed) and the
     total is exactly ``cls + lambda2 * kl``.
+
+    For a trace of stacked members ``cfg`` lists one config per member and
+    each penalty is one SVD of that member's (n, d) batch; the value and
+    every part are then arrays with one entry per member, 'rank' being 0
+    where it is not computed.
     """
+    stacked = trace.z.ndim == 3
+    cfgs = cfg if stacked else [cfg]
+    n_cls = trace.logits.shape[-1]
+    # the penalties first: their SVDs then run before CE and KL allocate
+    rank = np.zeros(len(cfgs))
+    subs, sigmas = [None] * len(cfgs), [None] * len(cfgs)
+    for m, (c, z) in enumerate(zip(cfgs, trace.z if stacked else [trace.z])):
+        if not c.lambda1:
+            continue
+        try:
+            if c.regularizer == "nuclear":
+                penalty = nuclear_norm(z)
+            else:
+                penalty = rank_loss(z, c.rank_target or n_cls)
+        except ValueError as exc:
+            raise _member_error(str(exc), np.arange(len(cfgs)) == m if stacked else False) from None
+        rank[m], subs[m], sigmas[m] = penalty.value, penalty.subgradient, penalty.sigma
     cls_value, trace.d_logits = batch_mean(trace.logits, labels)
     kl_value, trace.kl_mu, trace.kl_log_var = kl_standard_normal(trace.posterior)
     trace.labels, trace.cfg = labels, cfg
-    trace.rank_sub = trace.sigma = rank = None
-    total = cls_value
-    if cfg.lambda1:
-        if cfg.regularizer == "nuclear":
-            penalty = nuclear_norm(trace.z)
-        else:
-            penalty = rank_loss(trace.z, cfg.rank_target or trace.logits.shape[1])
-        trace.rank_sub, trace.sigma, rank = penalty.subgradient, penalty.sigma, penalty.value
-        total += cfg.lambda1 * rank
-    total += cfg.lambda2 * kl_value
+    total = _per_member(cfgs, "lambda1") * rank
+    total += cls_value
+    total += _per_member(cfgs, "lambda2") * kl_value
+    if stacked:
+        trace.rank_sub, trace.sigma = subs, sigmas
+        return total, {"cls": cls_value, "rank": rank, "kl": kl_value, "total": total}
+    trace.rank_sub, trace.sigma = subs[0], sigmas[0]
+    total = float(total[0])
+    rank = float(rank[0]) if cfg.lambda1 else None
     return total, {"cls": cls_value, "rank": rank, "kl": kl_value, "total": total}
 
 
@@ -299,30 +490,43 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     Backpropagates the gradients ``total_loss(trace, labels, cfg)`` stored
     on the trace, the penalty's only when it stored one.  A trace without
     them, or with them stored for other ``labels`` or ``cfg`` objects,
-    raises ``ValueError``.
+    raises ``ValueError``.  For ``_Stacked`` params the gradients are
+    ``_Stacked`` views of the params' buffers.
     """
     if trace.d_logits is None:
         raise ValueError("backward needs the gradients total_loss stores; call it first")
     if trace.labels is not labels or trace.cfg is not cfg:
         raise ValueError("backward got other labels or cfg than total_loss stored")
+    stacked = trace.z.ndim == 3
+    lambda2 = _per_member(cfg, "lambda2")[:, None, None] if stacked else cfg.lambda2
+    arrays = _step_arrays(params, trace.z.shape[-2])
+    layers = params.layers()
+    if arrays.grads is None:
+        outs = [(None, None)] * len(layers)
+    else:
+        outs = [(layer.weight, layer.bias) for layer in arrays.grads.layers()]
+
+    def layer_grads(i, d_out, below):
+        return (np.matmul(_swap(d_out), below, out=outs[i][0]),
+                np.sum(d_out, axis=-2, out=outs[i][1]))
+
     d_logits = trace.d_logits
+    grads = {len(layers) - 1: layer_grads(-1, d_logits, trace.z)}  # classifier
+    d_z = np.matmul(d_logits, params.classifier.weight, out=arrays.d_z)
+    members = zip(d_z, cfg, trace.rank_sub) if stacked else [(d_z, cfg, trace.rank_sub)]
+    for d_z_m, c, sub in members:
+        if sub is not None:
+            d_z_m += c.lambda1 * sub
 
-    # classifier
-    g_cls_w = d_logits.T @ trace.z
-    g_cls_b = d_logits.sum(axis=0)
-    d_z = d_logits @ params.classifier.weight
-    if trace.rank_sub is not None:
-        d_z += cfg.lambda1 * trace.rank_sub
-
-    d_mu = cfg.lambda2 * trace.kl_mu
+    d_mu = np.multiply(trace.kl_mu, lambda2, out=arrays.d_mu)
     d_mu += d_z
-    std = trace.posterior.log_var * 0.5
+    std = np.multiply(trace.posterior.log_var, 0.5, out=arrays.std)
     np.exp(std, out=std)
     d_lv = d_z  # d_z is spent; d_lv = d_z * noise * 0.5 * std, in its buffer
     d_lv *= trace.noise
     d_lv *= 0.5
     d_lv *= std
-    d_lv += np.multiply(trace.kl_log_var, cfg.lambda2, out=std)
+    d_lv += np.multiply(trace.kl_log_var, lambda2, out=std)
     # the posterior clamps log_var; outside the clamp range the raw head
     # output has no effect, so its gradient is zero there.  The clamped value
     # lies strictly inside the range exactly where the raw one does.
@@ -330,32 +534,26 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     d_lv *= (log_var > LOG_VAR_MIN) & (log_var < LOG_VAR_MAX)
 
     top_act = trace.trunk_act[-1]
-    g_mu_w = d_mu.T @ top_act
-    g_mu_b = d_mu.sum(axis=0)
-    g_lv_w = d_lv.T @ top_act
-    g_lv_b = d_lv.sum(axis=0)
+    grads[len(layers) - 3] = layer_grads(-3, d_mu, top_act)
+    grads[len(layers) - 2] = layer_grads(-2, d_lv, top_act)
 
-    d_act = d_mu @ params.head_mu.weight
-    d_act += d_lv @ params.head_log_var.weight
+    this, other = arrays.pair  # d_act lives in one, the next layer's in the other
+    width = top_act.shape[-1]
+    d_act = np.matmul(d_mu, params.head_mu.weight, out=this.get(width))
+    d_act += np.matmul(d_lv, params.head_log_var.weight, out=other.get(width))
     del d_mu, d_lv, std  # the trunk's gradients need only d_act
-    trunk = [*params.encoder, params.head_hidden]
-    g_trunk = []
-    for i in reversed(range(len(trunk))):
-        layer = trunk[i]
-        d_pre = _activate_grad(d_act, trace.trunk_act[i], layer.activation)
-        below = trace.trunk_act[i - 1] if i > 0 else trace.x
-        g_trunk.append(Layer(d_pre.T @ below, d_pre.sum(axis=0), layer.activation))
+    for i in reversed(range(len(layers) - 3)):
+        layer = layers[i]
+        d_pre = _activate_grad(d_act, trace.trunk_act[i], layer.activation,
+                               other.get(d_act.shape[-1]))
+        grads[i] = layer_grads(i, d_pre, trace.trunk_act[i - 1] if i > 0 else trace.x)
         if i:  # the gradient w.r.t. the input x is never read
-            d_act = d_pre @ layer.weight
-    g_trunk.reverse()
-
-    return ModelParams(
-        encoder=g_trunk[:-1],
-        head_hidden=g_trunk[-1],
-        head_mu=Layer(g_mu_w, g_mu_b, "linear"),
-        head_log_var=Layer(g_lv_w, g_lv_b, "linear"),
-        classifier=Layer(g_cls_w, g_cls_b, "linear"),
-    )
+            d_act = np.matmul(d_pre, layer.weight, out=other.get(layer.weight.shape[-1]))
+            this, other = other, this
+    if arrays.grads is not None:
+        return arrays.grads
+    out = [Layer(*grads[i], layer.activation) for i, layer in enumerate(layers)]
+    return ModelParams(out[:-4], *out[-4:])
 
 
 @dataclass
@@ -368,6 +566,7 @@ class AdamState:
     without a copy.  ``m`` and ``v`` share the layout; the first
     ``n_weights`` entries are the weights.  ``views`` holds the arrays in
     ``ModelParams.flat`` order, to tell that ``adam_step`` got these params.
+    For ``_Stacked`` params ``vector`` has one row per member.
     """
 
     vector: np.ndarray
@@ -380,18 +579,12 @@ class AdamState:
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
         """State for ``params``, whose arrays become views of its vector."""
-        layers = params.layers()
-        arrays = [layer.weight for layer in layers] + [layer.bias for layer in layers]
-        vector = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
-        offset = 0
-        for attr in ("weight", "bias"):
-            for layer in layers:
-                a = getattr(layer, attr)
-                setattr(layer, attr, vector[offset : offset + a.size].reshape(a.shape))
-                offset += a.size
+        vector = _flat_vector(params)
+        for layer, view in zip(params.layers(), _unflatten(vector, _layout(params)).layers()):
+            layer.weight, layer.bias = view.weight, view.bias
         return cls(
             vector=vector,
-            n_weights=sum(layer.weight.size for layer in layers),
+            n_weights=sum(layer.weight.size for layer in params.layers()),
             views=params.flat(),
             m=np.zeros_like(vector),
             v=np.zeros_like(vector),
@@ -413,7 +606,9 @@ def adam_step(
     Weight decay multiplies weight matrices by ``(1 - lr * weight_decay)``
     outside the moment accumulators; biases are never decayed.  ``params``
     must be the ModelParams ``state`` was built for: arrays not backed by
-    its vector raise ``ValueError`` rather than miss the update.
+    its vector raise ``ValueError`` rather than miss the update.  For
+    ``_Stacked`` params every member is updated, in the params' buffers,
+    and ``_Stacked`` gradients are consumed.
     """
     flat = params.flat()
     if len(flat) != len(state.views) or any(
@@ -423,23 +618,28 @@ def adam_step(
             "adam_step: params are not backed by this AdamState's vector; "
             "build the state with AdamState.for_params(params)"
         )
-    layers = grads.layers()
-    g = np.concatenate([layer.weight for layer in layers] + [layer.bias for layer in layers],
-                       axis=None)
+    if isinstance(grads, _Stacked):
+        g = grads.vector
+    else:
+        lead = state.vector.shape[:-1]
+        layers = grads.layers()
+        g = np.concatenate([layer.weight.reshape(*lead, -1) for layer in layers]
+                           + [layer.bias for layer in layers], axis=-1)
+    scratch = params.buffers.scratch if isinstance(params, _Stacked) else None
     beta1, beta2 = _ADAM_BETA1, _ADAM_BETA2
     state.t += 1
     t = state.t
     m, v, p = state.m, state.v, state.vector
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += np.multiply(g, 1.0 - beta1, out=scratch)
     v *= beta2
-    g *= g  # g is this step's own concatenation; it becomes (1 - beta2) g^2
+    g *= g  # g is this step's own; it becomes (1 - beta2) g^2
     g *= 1.0 - beta2
     v += g
-    m_hat = m / (1.0 - beta1**t)
+    m_hat = np.divide(m, 1.0 - beta1**t, out=scratch)
     v_hat = np.divide(v, 1.0 - beta2**t, out=g)
     if weight_decay:
-        p[: state.n_weights] *= 1.0 - lr * weight_decay
+        p[..., : state.n_weights] *= 1.0 - lr * weight_decay
     # p -= lr * m_hat / (sqrt(v_hat) + eps), in place, in that order
     np.sqrt(v_hat, out=v_hat)
     v_hat += _ADAM_EPS

@@ -34,11 +34,24 @@ class GaussianPosterior:
     """Diagonal Gaussian over latents, one row per sample.
 
     ``log_var`` is clamped to [-30, 30] on construction so that
-    ``exp(log_var)`` can neither overflow nor collapse to an exact zero.
+    ``exp(log_var)`` can neither overflow nor collapse to an exact zero;
+    the clamp writes a copy, so a caller's array is never changed.  A
+    model's posterior (see ``model.forward``) may hold stacked members on a
+    leading axis, one (n, d) batch each.
     """
 
     mu: np.ndarray
     log_var: np.ndarray
+
+    @classmethod
+    def _of_heads(cls, mu, log_var):
+        """The posterior of a model's mean and log-variance head outputs,
+        which the model owns: ``log_var`` is clamped in place, in its own
+        buffer, and neither array is copied or checked."""
+        post = cls.__new__(cls)
+        post.mu = mu
+        post.log_var = np.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX, out=log_var)
+        return post
 
     def __post_init__(self):
         self.mu = as_matrix(self.mu)
@@ -105,20 +118,22 @@ def kl_standard_normal(posterior: GaussianPosterior):
         d/d mu      = mu / n
         d/d log_var = (exp(log_var) - 1) / (2 n)
 
-    Returns ``(value, grad_mu, grad_log_var)``.
+    Returns ``(value, grad_mu, grad_log_var)``.  For members stacked on a
+    leading axis the value is an array with one mean per member.
     """
     mu, log_var = posterior.mu, posterior.log_var
-    n = mu.shape[0]
+    n = mu.shape[-2]
     var = np.exp(log_var)
     terms = mu * mu
     terms += var
     terms -= log_var
     terms -= 1.0
-    value = float(terms.sum() / (2.0 * n))
+    # each member's whole (n, d) block, summed as numpy sums one matrix
+    value = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1) / (2.0 * n)
     grad_log_var = var  # (var - 1) / (2 n), in var's buffer
     grad_log_var -= 1.0
     grad_log_var /= 2.0 * n
-    return value, mu / n, grad_log_var
+    return (float(value) if value.ndim == 0 else value), mu / n, grad_log_var
 
 
 def reparameterize(posterior: GaussianPosterior, noise) -> np.ndarray:

@@ -11,7 +11,7 @@ import lddg.linalg
 import lddg.model
 import lddg.regularizers
 import lddg.theory
-from lddg.data import DomainDataset, SyntheticConfig, generate_synthetic
+from lddg.data import DomainDataset, SyntheticConfig, generate_synthetic, sample_batches
 from lddg.experiments import (
     _LR_DECAY_FACTOR,
     ABLATION_CELLS,
@@ -241,7 +241,7 @@ class TestCallsPerStep:
 
         def recording(params, x, noise=None):
             trace = original(params, x, noise)
-            latents.append(trace.z.copy())
+            latents.append(trace.z[0].copy())  # the one member's latent batch
             return trace
 
         monkeypatch.setattr(lddg.experiments, "forward", recording)
@@ -264,14 +264,30 @@ class TestCallsPerStep:
         sources, target = tiny
         counts = {}
         _count_calls(monkeypatch, lddg.experiments, "evaluate", counts)
+        trained = _record_members(monkeypatch)
         ablate_components(
             replace(TINY_TRAIN, epochs=1), sources, target, seeds=(0, 1),
             cells=("none", "rank+kl"),
         )
-        assert counts["evaluate"] == 4
+        assert counts["evaluate"] == len(trained) == 4
         counts.clear()
+        trained.clear()
         sweep_rank(replace(TINY_TRAIN, epochs=1), sources, target, ranks=(1, 2, 3), seeds=(0,))
-        assert counts["evaluate"] == 3
+        assert counts["evaluate"] == len(trained) == 3
+
+
+def _record_members(monkeypatch):
+    """Every config ``train`` trains from now on, in order: a study's
+    members, or a lone run's config."""
+    trained = []
+    original = lddg.experiments.train
+
+    def recording(cfg, sources, members=None):
+        trained.extend([cfg] if members is None else members.values())
+        return original(cfg, sources, members)
+
+    monkeypatch.setattr(lddg.experiments, "train", recording)
+    return trained
 
 
 def _posterior_mean_predictions(params, features):
@@ -430,14 +446,7 @@ class TestAblation:
 
     def test_members_train_cell_by_cell_then_seed(self, tiny, monkeypatch):
         sources, target = tiny
-        trained = []
-        original = lddg.experiments.train
-
-        def recording(cfg, data):
-            trained.append(cfg)
-            return original(cfg, data)
-
-        monkeypatch.setattr(lddg.experiments, "train", recording)
+        trained = _record_members(monkeypatch)
         base = replace(TINY_TRAIN, epochs=1)
         ablate_components(base, sources, target, seeds=(3, 1), cells=("kl", "nuclear"))
         assert trained == [
@@ -488,3 +497,93 @@ class TestSweepRank:
             sweep_rank(TINY_TRAIN, sources, target, ranks=(6,), seeds=(0,))
         with pytest.raises(ValueError, match="outside"):
             sweep_rank(TINY_TRAIN, sources, target, ranks=(0,), seeds=(0,))
+
+
+# criterion 09's data and training settings, for 3 epochs: one 600-row step each
+FULL_BATCH_DATA = SyntheticConfig(offset_scale=0.6)
+FULL_BATCH_TRAIN = TrainConfig(
+    lambda1=0.5, lambda2=0.01, learning_rate=1e-2, weight_decay=0.0, epochs=3,
+    batch_per_domain=200, lr_decay_every=300,
+)
+
+
+class TestGroups:
+    """A study's members train together; each must come out as it would alone."""
+
+    def _assert_each_as_alone(self, base, members, sources, target):
+        group = train(base, sources, members)
+        assert len(group) == len(members)
+        for (params, result), cfg in zip(group, members.values()):
+            alone_params, alone = train(cfg, sources)
+            assert [a.tobytes() for a in params.flat()] == [
+                a.tobytes() for a in alone_params.flat()]
+            assert [asdict(r) for r in result.epochs] == [asdict(r) for r in alone.epochs]
+            assert result.config == asdict(cfg)
+            assert evaluate(params, target).accuracy == evaluate(alone_params, target).accuracy
+
+    def test_six_cells_two_seeds_at_48_rows_match_lone_runs(self):
+        # default data: 12 batches of 48 rows, then a ragged one of 24
+        sources, target = generate_synthetic(SyntheticConfig())
+        base = TrainConfig(epochs=2, log_singular_values=True)
+        assert [b.size for b in sample_batches(sources, 16, 0, 0)] == [48] * 12 + [24]
+        members = {f"{cell} {seed}": replace(base, seed=seed, **overrides)
+                   for cell, overrides in ABLATION_CELLS.items() for seed in (0, 1)}
+        self._assert_each_as_alone(base, members, sources, target)
+
+    @pytest.mark.parametrize("shared_seed", [False, True])
+    def test_two_ranks_at_600_rows_match_lone_runs(self, shared_seed):
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        members = {rank: replace(FULL_BATCH_TRAIN, rank_target=rank,
+                                 seed=0 if shared_seed else rank)
+                   for rank in (2, 5)}
+        self._assert_each_as_alone(FULL_BATCH_TRAIN, members, sources, target)
+
+    def test_study_accuracies_are_those_of_lone_runs(self, tiny):
+        sources, target = tiny
+        rows = ablate_components(TINY_TRAIN, sources, target, seeds=(2, 0))
+        for row in rows:
+            for seed, acc in zip((2, 0), row.accuracies):
+                cfg = replace(TINY_TRAIN, seed=seed, **ABLATION_CELLS[row.cell])
+                assert acc == evaluate(train(cfg, sources)[0], target).accuracy
+
+    def test_600_row_studies_train_two_members_a_step(self, monkeypatch):
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        sizes = []
+        original = lddg.experiments.train
+
+        def recording(cfg, data, members=None):
+            sizes.append(len(members))
+            return original(cfg, data, members)
+
+        monkeypatch.setattr(lddg.experiments, "train", recording)
+        sweep_rank(replace(FULL_BATCH_TRAIN, epochs=1), sources, target,
+                   ranks=(1, 2, 3), seeds=(0, 1, 2))
+        assert sizes == [2, 2, 2, 2, 1]
+
+    def test_members_may_differ_only_in_their_own_fields(self, tiny):
+        sources, _ = tiny
+        with pytest.raises(ValueError, match="member b differs"):
+            train(TINY_TRAIN, sources, {"a": TINY_TRAIN, "b": replace(TINY_TRAIN, epochs=2)})
+
+    def test_a_diverging_cell_is_named(self, tiny):
+        # the nuclear norm of the first batch, times lambda1, overflows the loss
+        sources, target = tiny
+        hot = replace(TINY_TRAIN, lambda1=1e308)
+        with np.errstate(over="ignore"), pytest.raises(
+            RuntimeError,
+            match=r"^training diverged at epoch 0, batch 0 \(cell nuclear, seed 1\): "
+                  r"non-finite loss, parts=",
+        ):
+            ablate_components(hot, sources, target, seeds=(1, 0), cells=("kl", "nuclear"))
+
+    def test_a_diverging_rank_is_named(self, tiny):
+        # Adam's first step at this rate makes the next batch's activations
+        # non-finite in every member; the first one is named
+        sources, target = tiny
+        with pytest.warns(RuntimeWarning), pytest.raises(
+            RuntimeError,
+            match=r"^training diverged at epoch 0, batch 1 \(rank 3, seed 4\): "
+                  r"matrix contains non-finite",
+        ):
+            sweep_rank(replace(TINY_TRAIN, learning_rate=1e200), sources, target,
+                       ranks=(3, 2), seeds=(4,))

@@ -10,8 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from lddg.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
-from lddg.experiments import evaluate, train
+from lddg.experiments import ABLATION_CELLS, evaluate, train
 from lddg.model import TrainConfig, init_params
 
 F8 = 8  # bytes per float64
@@ -56,18 +58,49 @@ def test_evaluate_holds_two_trunk_layers_at_a_time(sweep_data):
 
 
 def test_training_holds_one_step_at_a_time(sweep_data):
-    # In units of one (rows, trunk width) array, a step holds its trace: the
-    # three trunk activations, 8 latent-width arrays (half as wide: the
-    # batch, its noise, the posterior, z and the KL and penalty gradients)
-    # and two class-width ones, 7.25 units; backward's temporaries at their
-    # peak, two trunk-width and three latent-width arrays, 3.5 units; and
-    # the parameters with Adam's moments, 0.6 units.  That is 11.35 units;
-    # the previous step's trace would add 7.25 more.
+    # In units of one (rows, trunk width) array, a run allocates its step's
+    # buffers once: the three trunk activations, two trunk-width arrays the
+    # trunk's gradients alternate between, five latent-width ones (half as
+    # wide: the posterior's mean and log-variance, backward's d_z, d_mu and
+    # std) and the logits, 7.6 units; the batch and its noise, 1 unit; and
+    # the parameters, Adam's moments and scratch, the gradients and the
+    # initial parameters, 1.2 units.  A step adds its latent sample, the
+    # KL and penalty gradients and the CE gradient, 2.1 units, and at its
+    # peak about 0.6 units of the KL's or the SVD's temporaries: 12.5 in
+    # all.  The previous step's arrays would add 2.1 more.
     sources, _ = sweep_data
     n, width = len(sources), 32
     assert n == 600 and SWEEP_TRAIN.latent_dim == width // 2
     bound = 13 * n * width * F8  # 1.90 MiB
     assert _peak_bytes(train, SWEEP_TRAIN, sources) <= bound
+
+
+def _group_bound(members, rows, width, n_params):
+    # Per member, the 13 units of one (rows, trunk width) array that bound
+    # a lone run (a stacked step holds the same arrays for each member,
+    # with a copy of its batch and noise where members share a seed), and
+    # five parameter-sized vectors that a 48-row unit is too small to
+    # hold: the parameters, Adam's two moments, the gradients and Adam's
+    # scratch.
+    return members * (13 * rows * width + 5 * n_params) * F8
+
+
+def test_a_12_member_48_row_group_holds_one_step_per_member():
+    sources, _ = generate_synthetic(SyntheticConfig())
+    base = TrainConfig(epochs=2)
+    members = {f"{cell} {seed}": replace(base, seed=seed, **overrides)
+               for cell, overrides in ABLATION_CELLS.items() for seed in (0, 1)}
+    n_params = sum(a.size for a in init_params(16, 4, base, np.random.default_rng(0)).flat())
+    bound = _group_bound(12, 48, 32, n_params)  # 3.56 MiB
+    assert _peak_bytes(train, base, sources, members) <= bound
+
+
+def test_a_2_member_600_row_group_holds_one_step_per_member(sweep_data):
+    sources, _ = sweep_data
+    members = {rank: replace(SWEEP_TRAIN, rank_target=rank, seed=rank) for rank in (2, 5)}
+    n_params = sum(a.size for a in init_params(16, 4, SWEEP_TRAIN, np.random.default_rng(0)).flat())
+    bound = _group_bound(2, 600, 32, n_params)  # 4.10 MiB
+    assert _peak_bytes(train, SWEEP_TRAIN, sources, members) <= bound
 
 
 def test_load_dataset_holds_its_arrays_and_one_line(sweep_data, tmp_path):

@@ -106,7 +106,7 @@ def main():
         for name, variant in (("sweep", ["sweep-rank", "--ranks", "2,5"]),
                               ("ablate", ["ablate", "--cells", "none,rank,nuclear+kl"])):
             code, out = _run(variant + data + ["--out", path[f"{name}.csv"]])
-            with open(path[f"{name}.csv"]) as fh:
+            with open(path[f"{name}.csv"], "rb") as fh:
                 print(f"{variant[0]} exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
                       "table", _digest(fh.read()))
             code, out = _run(variant + data)
