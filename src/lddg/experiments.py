@@ -20,6 +20,7 @@ from .model import (
     TrainConfig,
     _affine,
     _member,
+    _rows,
     _stack,
     _trunk,
     adam_step,
@@ -114,11 +115,12 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     rank_target, regularizer and seed (others raise ``ValueError``).  Every
     step then runs ``forward``, ``total_loss``, ``backward`` and
     ``adam_step`` once for the whole group, its members stacked on a
-    leading axis, and members that share a seed share that seed's batches,
-    rows and noise.  Returns one ``(params, RunResult)`` per member, in
-    order, each bit for bit what training that config alone returns (the
-    wall time, the group's, aside).  Warnings and errors about a member
-    name its label; the first member to diverge stops the group.
+    leading axis.  Members that share a seed share that seed's batches and
+    noise; each member gathers its own batch rows and labels.  Returns one
+    ``(params, RunResult)`` per member, in order, each bit for bit what
+    training that config alone returns (the wall time, the group's, aside).
+    Warnings and errors about a member name its label; the first member to
+    diverge stops the group.
     """
     if len(sources) == 0:
         raise ValueError("sources have no records to train on")
@@ -130,22 +132,16 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     t0 = time.perf_counter()
     labels, cfgs = list(group), list(group.values())
     seeds = list(dict.fromkeys(c.seed for c in cfgs))
-    seed_of = np.array([seeds.index(c.seed) for c in cfgs])
-    n_members, n_seeds = len(cfgs), len(seeds)
+    seed_of = [seeds.index(c.seed) for c in cfgs]
+    # a seed's noise is drawn by its first member and copied by the others
+    first = [seed_of.index(s) for s in seed_of]
     rows = _batch_rows(sources, cfg.batch_per_domain)
     inits = [init_params(sources.feature_dim, sources.num_classes, cfg,
                          np.random.default_rng([seed, _STREAM_INIT])) for seed in seeds]
     params, state = _stack([inits[s] for s in seed_of], rows)
     rng_noise = [np.random.default_rng([seed, _STREAM_NOISE]) for seed in seeds]
-    # each seed's batch rows and noise; members that share a seed with
-    # others read copies, as a stacked step needs one block per member
     fd, d = sources.feature_dim, cfg.latent_dim
-    x_seed, eps_seed = np.empty((n_seeds, rows * fd)), np.empty((n_seeds, rows * d))
-    expand = 1 < n_seeds < n_members
-    if expand:
-        x_member = np.empty((n_members, rows * fd))
-    if n_seeds < n_members:
-        eps_member = np.empty((n_members, rows * d))
+    x_flat, eps_flat = np.empty((len(cfgs), rows * fd)), np.empty((len(cfgs), rows * d))
     rank_c = [c.rank_target or sources.num_classes for c in cfgs]
     warn_inert = [c.regularizer == "rank" and c.lambda1 > 0 for c in cfgs]
     where = ["" if label is None else f" ({label})" for label in labels]
@@ -154,24 +150,19 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate / _LR_DECAY_FACTOR ** (epoch // cfg.lr_decay_every)
         batches = [sample_batches(sources, cfg.batch_per_domain, seed, epoch) for seed in seeds]
-        sums = np.zeros((4, n_members))  # total, cls, rank, kl
+        sums = {key: np.zeros(len(cfgs)) for key in ("cls", "rank", "kl", "total")}
         for b_idx, picked in enumerate(zip(*batches)):
             n = picked[0].size
             # the previous step's arrays go now, before this step allocates its own
             trace = grads = None
-            x = x_seed[:, : n * fd].reshape(n_seeds, n, fd)
-            eps = eps_seed[:, : n * d].reshape(n_seeds, n, d)
-            for s, batch in enumerate(picked):
-                np.take(sources.features, batch, axis=0, out=x[s], mode="clip")
-                rng_noise[s].standard_normal(out=eps[s])
-            y = np.stack([sources.labels[batch] for batch in picked])
-            if n_seeds == 1:  # one batch, shared by every member
-                x, y = x[0], y[0]
-            elif expand:
-                x = np.take(x, seed_of, axis=0, out=_rows_of(x_member, n, fd), mode="clip")
-                y = y[seed_of]
-            if n_seeds < n_members:
-                eps = np.take(eps, seed_of, axis=0, out=_rows_of(eps_member, n, d), mode="clip")
+            x, eps = _rows(x_flat, n, fd), _rows(eps_flat, n, d)
+            for m, s in enumerate(seed_of):
+                np.take(sources.features, picked[s], axis=0, out=x[m], mode="clip")
+                if first[m] == m:
+                    rng_noise[s].standard_normal(out=eps[m])
+                else:
+                    eps[m] = eps[first[m]]
+            y = np.stack([sources.labels[picked[s]] for s in seed_of])
             try:
                 trace = forward(params, x, eps)
                 value, parts = total_loss(trace, y, cfgs)
@@ -182,11 +173,8 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
             finite = np.isfinite(value)
             if not finite.all():
                 m = int(np.argmin(finite))
-                own = {k: float(v[m]) for k, v in parts.items()}
-                if not cfgs[m].lambda1:
-                    own["rank"] = None
-                raise RuntimeError(f"training diverged at epoch {epoch}, batch {b_idx}"
-                                   f"{where[m]}: non-finite loss, parts={own}")
+                raise RuntimeError(f"training diverged at epoch {epoch}, batch {b_idx}{where[m]}: "
+                                   f"non-finite loss, parts={_member_parts(cfgs[m], parts, m)}")
             for m, sigma in enumerate(trace.sigma):
                 if warn_inert[m] and sigma.size <= rank_c[m]:
                     logger.warning(
@@ -197,13 +185,11 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
                     warn_inert[m] = False
             grads = backward(params, trace, y, cfgs)
             adam_step(params, grads, state, lr, cfg.weight_decay)
-            for i, key in enumerate(("total", "cls", "rank", "kl")):
-                sums[i] += parts[key]
-        means = sums / len(batches[0])
+            for key, acc in sums.items():
+                acc += parts[key]
+        means = {key: acc / len(batches[0]) for key, acc in sums.items()}
         for m, c in enumerate(cfgs):
-            total, cls, rank, kl = (float(v) for v in means[:, m])
-            record = EpochRecord(epoch=epoch, total=total, cls=cls,
-                                 rank=rank if c.lambda1 else None, kl=kl, lr=lr)
+            record = EpochRecord(epoch=epoch, lr=lr, **_member_parts(c, means, m))
             if cfg.log_singular_values:
                 sigma = svd(trace.z[m]).sigma if trace.sigma[m] is None else trace.sigma[m]
                 record.singular_values = [float(s) for s in sigma[:_SPECTRUM_TOP_K]]
@@ -216,9 +202,14 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     return results[0] if members is None else results
 
 
-def _rows_of(flat, n, width):
-    """``flat``'s (members, rows * width) buffer viewed as (members, n, width)."""
-    return flat[:, : n * width].reshape(len(flat), n, width)
+def _member_parts(cfg, parts, m):
+    """Member ``m``'s entries of the loss ``parts`` (arrays keyed as
+    ``total_loss`` keys them), as floats; 'rank' is None where
+    ``cfg.lambda1`` is 0, as the penalty is then not computed."""
+    own = {key: float(v[m]) for key, v in parts.items()}
+    if not cfg.lambda1:
+        own["rank"] = None
+    return own
 
 
 def _batch_rows(sources, batch_per_domain):

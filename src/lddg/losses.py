@@ -37,8 +37,8 @@ def batch_mean(logits, labels):
 
     ``grad`` is the gradient of the *mean*, i.e. already divided by n.
     Logits of members stacked on a leading axis, (members, n, C), take
-    labels of shape (members, n), or (n,) for one batch shared by every
-    member; the value is then an array with one mean per member.
+    labels of shape (members, n); the value is then an array with one mean
+    per member.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
@@ -47,7 +47,7 @@ def batch_mean(logits, labels):
     n = logits.shape[-2]
     if n == 0:
         raise ValueError("batch_mean needs at least one sample")
-    if labels.shape not in ((n,), logits.shape[:-1]):
+    if labels.shape != logits.shape[:-1]:
         raise ValueError(f"labels shape {labels.shape} does not match {n} rows")
     if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ValueError(f"labels out of range for {logits.shape[-1]} classes")

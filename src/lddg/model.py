@@ -157,8 +157,7 @@ class ForwardTrace:
     ``backward`` only reads them.
 
     For members stacked on a leading axis (see ``_Stacked``) every array
-    has that axis, except that ``x`` may be one (n, in) batch shared by all
-    members; ``cfg`` is then the list of the members' configs, and
+    has that axis; ``cfg`` is then the list of the members' configs, and
     ``rank_sub`` and ``sigma`` are lists with one entry per member.
     """
 
@@ -232,45 +231,49 @@ def _unflatten(flat, layout, cls=ModelParams, **extra):
     return cls(layers[:-4], *layers[-4:], **extra)
 
 
+def _rows(flat, n, width):
+    """``flat``'s (..., rows * width) buffer viewed as (..., n, width)."""
+    return flat[..., : n * width].reshape(*flat.shape[:-1], n, width)
+
+
 class _Buffers:
-    """The arrays of one training step for ``members`` stacked models of
-    ``layout`` on batches of up to ``rows`` rows, allocated once.  ``at(n)``
-    views them for an n-row batch (cached per n), each member's
-    (n, width) block contiguous, as one model's (n, width) array is."""
+    """The arrays of one training step for models of ``layout`` stacked on
+    the leading axes ``lead`` (``()`` for one model), on batches of up to
+    ``rows`` rows, allocated once.  ``at(n)`` views them for an n-row batch
+    (cached per n), each member's (n, width) block contiguous, as one
+    model's (n, width) array is.  Stacked members' gradients are
+    ``_Stacked``, one model's a ModelParams."""
 
     _LATENT = ("mu", "log_var", "d_z", "d_mu", "std")
 
-    def __init__(self, members, rows, layout):
+    def __init__(self, lead, rows, layout):
         self._layout = layout
         trunk, latent, classes = layout[:-3], layout[-3][1], layout[-1][1]
         widest = max(out for _, out, _ in trunk)
         widths = {f"act{i}": out for i, (_, out, _) in enumerate(trunk)}
         widths |= {"a": widest, "b": widest, "logits": classes}
         widths |= dict.fromkeys(self._LATENT, latent)
-        self._flat = {name: np.empty((members, rows * w)) for name, w in widths.items()}
+        self._flat = {name: np.empty((*lead, rows * w)) for name, w in widths.items()}
         size = sum(out * in_dim + out for _, out, in_dim in layout)
-        grad = np.empty((members, size))
-        self.grads = _unflatten(grad, layout, _Stacked, vector=grad)
-        self.scratch = np.empty((members, size))  # Adam's temporaries
+        grad = np.empty((*lead, size))
+        self.grads = (_unflatten(grad, layout, _Stacked, vector=grad) if lead
+                      else _unflatten(grad, layout))
+        self.scratch = np.empty((*lead, size))  # Adam's temporaries
         self._at = {}
 
     def at(self, n):
         views = self._at.get(n)
         if views is None:
-            def view(name, width):
-                flat = self._flat[name]
-                return flat[:, : n * width].reshape(len(flat), n, width)
-
-            trunk, latent = self._layout[:-3], self._layout[-3][1]
+            flat, trunk, latent = self._flat, self._layout[:-3], self._layout[-3][1]
             widths = {out for _, out, _ in trunk}
             views = self._at[n] = SimpleNamespace(
-                acts=[view(f"act{i}", out) for i, (_, out, _) in enumerate(trunk)],
-                logits=view("logits", self._layout[-1][1]),
+                acts=[_rows(flat[f"act{i}"], n, out) for i, (_, out, _) in enumerate(trunk)],
+                logits=_rows(flat["logits"], n, self._layout[-1][1]),
                 # two trunk-width arrays that the trunk's gradients alternate between
-                pair=tuple({w: view(name, w) for w in widths} for name in "ab"),
+                pair=tuple({w: _rows(flat[name], n, w) for w in widths} for name in "ab"),
                 grads=self.grads,
                 scratch=self.scratch,
-                **{name: view(name, latent) for name in self._LATENT},
+                **{name: _rows(flat[name], n, latent) for name in self._LATENT},
             )
         return views
 
@@ -296,10 +299,8 @@ def _stack(members, rows):
     layout = _layout(members[0])
     vector = np.stack([_flat_vector(p) for p in members])
     params = _unflatten(vector, layout, _Stacked, vector=vector,
-                        buffers=_Buffers(len(members), rows, layout))
-    state = AdamState(vector=vector, n_weights=sum(o * i for _, o, i in layout),
-                      views=params.flat(), m=np.zeros_like(vector), v=np.zeros_like(vector))
-    return params, state
+                        buffers=_Buffers((len(members),), rows, layout))
+    return params, AdamState._over(vector, params)
 
 
 def _member(params, m):
@@ -308,31 +309,19 @@ def _member(params, m):
 
 
 def _step_arrays(params, n):
-    """``params``' step buffers viewed for n rows, or, for params without
-    buffers, the same names holding None, so every array is allocated."""
-    buffers = getattr(params, "buffers", None)
-    if buffers is not None:
-        return buffers.at(n)
-    names = ("logits", "grads", "scratch", *_Buffers._LATENT)
-    return SimpleNamespace(acts=[None] * (len(params.encoder) + 1), pair=({}, {}),
-                           **dict.fromkeys(names))
+    """``params``' step buffers viewed for n rows; params without buffers
+    (one model) get a set of their own, for this call alone."""
+    buffers = getattr(params, "buffers", None) or _Buffers((), n, _layout(params))
+    return buffers.at(n)
 
 
 class _MemberError(ValueError):
     """A ValueError about one of the members stacked on a leading axis:
-    ``member`` is its index."""
+    ``member`` is its index (0 for one model)."""
 
     def __init__(self, message, member):
         super().__init__(message)
         self.member = member
-
-
-def _member_error(message, bad):
-    """``ValueError(message)``; where members are stacked, ``bad`` flags
-    each member and the error names the first one it flags."""
-    if np.ndim(bad) == 0:
-        return ValueError(message)
-    return _MemberError(message, int(np.argmax(bad)))
 
 
 def _swap(a):
@@ -395,17 +384,11 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     shape (any other shape raises ``ValueError``); None (or anything
     all-zero) evaluates at the posterior mean.  ``evaluate`` scores that
     mean without a trace, through the same trunk.  Non-finite input or
-    head outputs raise ``ValueError``.  ``_Stacked`` params take ``x`` as
-    (members, n, in), or (n, in) for one batch shared by every member.
+    head outputs raise ``ValueError``.  ``_Stacked`` params take ``x`` as a
+    finite float64 (members, n, in) array, one batch per member, which is
+    not checked again.
     """
-    stacked = isinstance(params, _Stacked)
-    x = np.asarray(x, dtype=np.float64)
-    if stacked and x.ndim == 3:
-        if x.shape[0] != len(params.vector):
-            raise ValueError(f"x holds {x.shape[0]} batches for {len(params.vector)} members")
-        if not np.isfinite(x).all():
-            raise ValueError("matrix contains non-finite entries (NaN or Inf)")
-    else:
+    if not isinstance(params, _Stacked):
         x = as_matrix(x)
     arrays = _step_arrays(params, x.shape[-2])
     acts = []
@@ -414,7 +397,8 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     log_var = _affine(h, params.head_log_var, arrays.log_var)
     finite = np.isfinite(mu).all(axis=(-2, -1)) & np.isfinite(log_var).all(axis=(-2, -1))
     if not finite.all():
-        raise _member_error("matrix contains non-finite entries (NaN or Inf)", ~finite)
+        raise _MemberError("matrix contains non-finite entries (NaN or Inf)",
+                           int(np.argmin(finite)))
     posterior = GaussianPosterior._of_heads(mu, log_var)
     eps = np.zeros_like(mu) if noise is None else np.asarray(noise, dtype=np.float64)
     z = reparameterize(posterior, eps)
@@ -461,13 +445,10 @@ def total_loss(trace: ForwardTrace, labels, cfg: TrainConfig):
     for m, (c, z) in enumerate(zip(cfgs, trace.z if stacked else [trace.z])):
         if not c.lambda1:
             continue
-        try:
-            if c.regularizer == "nuclear":
-                penalty = nuclear_norm(z)
-            else:
-                penalty = rank_loss(z, c.rank_target or n_cls)
-        except ValueError as exc:
-            raise _member_error(str(exc), np.arange(len(cfgs)) == m if stacked else False) from None
+        if c.regularizer == "nuclear":
+            penalty = nuclear_norm(z)
+        else:
+            penalty = rank_loss(z, c.rank_target or n_cls)
         rank[m], subs[m], sigmas[m] = penalty.value, penalty.subgradient, penalty.sigma
     cls_value, trace.d_logits = batch_mean(trace.logits, labels)
     kl_value, trace.kl_mu, trace.kl_log_var = kl_standard_normal(trace.posterior)
@@ -490,8 +471,9 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     Backpropagates the gradients ``total_loss(trace, labels, cfg)`` stored
     on the trace, the penalty's only when it stored one.  A trace without
     them, or with them stored for other ``labels`` or ``cfg`` objects,
-    raises ``ValueError``.  For ``_Stacked`` params the gradients are
-    ``_Stacked`` views of the params' buffers.
+    raises ``ValueError``.  The gradients are views of step buffers: for
+    ``_Stacked`` params ``_Stacked`` views of the params' own, otherwise
+    views of a set allocated for this call.
     """
     if trace.d_logits is None:
         raise ValueError("backward needs the gradients total_loss stores; call it first")
@@ -500,18 +482,14 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     stacked = trace.z.ndim == 3
     lambda2 = _per_member(cfg, "lambda2")[:, None, None] if stacked else cfg.lambda2
     arrays = _step_arrays(params, trace.z.shape[-2])
-    layers = params.layers()
-    if arrays.grads is None:
-        outs = [(None, None)] * len(layers)
-    else:
-        outs = [(layer.weight, layer.bias) for layer in arrays.grads.layers()]
+    layers, outs = params.layers(), arrays.grads.layers()
 
     def layer_grads(i, d_out, below):
-        return (np.matmul(_swap(d_out), below, out=outs[i][0]),
-                np.sum(d_out, axis=-2, out=outs[i][1]))
+        np.matmul(_swap(d_out), below, out=outs[i].weight)
+        np.sum(d_out, axis=-2, out=outs[i].bias)
 
     d_logits = trace.d_logits
-    grads = {len(layers) - 1: layer_grads(-1, d_logits, trace.z)}  # classifier
+    layer_grads(-1, d_logits, trace.z)  # classifier
     d_z = np.matmul(d_logits, params.classifier.weight, out=arrays.d_z)
     members = zip(d_z, cfg, trace.rank_sub) if stacked else [(d_z, cfg, trace.rank_sub)]
     for d_z_m, c, sub in members:
@@ -534,8 +512,8 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     d_lv *= (log_var > LOG_VAR_MIN) & (log_var < LOG_VAR_MAX)
 
     top_act = trace.trunk_act[-1]
-    grads[len(layers) - 3] = layer_grads(-3, d_mu, top_act)
-    grads[len(layers) - 2] = layer_grads(-2, d_lv, top_act)
+    layer_grads(-3, d_mu, top_act)
+    layer_grads(-2, d_lv, top_act)
 
     this, other = arrays.pair  # d_act lives in one, the next layer's in the other
     width = top_act.shape[-1]
@@ -546,14 +524,11 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
         layer = layers[i]
         d_pre = _activate_grad(d_act, trace.trunk_act[i], layer.activation,
                                other.get(d_act.shape[-1]))
-        grads[i] = layer_grads(i, d_pre, trace.trunk_act[i - 1] if i > 0 else trace.x)
+        layer_grads(i, d_pre, trace.trunk_act[i - 1] if i > 0 else trace.x)
         if i:  # the gradient w.r.t. the input x is never read
             d_act = np.matmul(d_pre, layer.weight, out=other.get(layer.weight.shape[-1]))
             this, other = other, this
-    if arrays.grads is not None:
-        return arrays.grads
-    out = [Layer(*grads[i], layer.activation) for i, layer in enumerate(layers)]
-    return ModelParams(out[:-4], *out[-4:])
+    return arrays.grads
 
 
 @dataclass
@@ -582,13 +557,13 @@ class AdamState:
         vector = _flat_vector(params)
         for layer, view in zip(params.layers(), _unflatten(vector, _layout(params)).layers()):
             layer.weight, layer.bias = view.weight, view.bias
-        return cls(
-            vector=vector,
-            n_weights=sum(layer.weight.size for layer in params.layers()),
-            views=params.flat(),
-            m=np.zeros_like(vector),
-            v=np.zeros_like(vector),
-        )
+        return cls._over(vector, params)
+
+    @classmethod
+    def _over(cls, vector, params):
+        """Zero moments over ``vector``, of which ``params``' arrays are views."""
+        n_weights = sum(o * i for _, o, i in _layout(params))
+        return cls(vector, n_weights, params.flat(), np.zeros_like(vector), np.zeros_like(vector))
 
 
 def adam_step(
@@ -618,13 +593,8 @@ def adam_step(
             "adam_step: params are not backed by this AdamState's vector; "
             "build the state with AdamState.for_params(params)"
         )
-    if isinstance(grads, _Stacked):
-        g = grads.vector
-    else:
-        lead = state.vector.shape[:-1]
-        layers = grads.layers()
-        g = np.concatenate([layer.weight.reshape(*lead, -1) for layer in layers]
-                           + [layer.bias for layer in layers], axis=-1)
+    # one model's gradients are copied: the caller may still read them
+    g = grads.vector if isinstance(grads, _Stacked) else _flat_vector(grads)
     scratch = params.buffers.scratch if isinstance(params, _Stacked) else None
     beta1, beta2 = _ADAM_BETA1, _ADAM_BETA2
     state.t += 1

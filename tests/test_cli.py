@@ -9,7 +9,7 @@ import pytest
 import lddg.cli
 from lddg.cli import main
 from lddg.data import load_dataset, save_dataset
-from lddg.experiments import evaluate
+from lddg.experiments import ABLATION_CELLS, evaluate
 from lddg.model import load_checkpoint, save_checkpoint
 from lddg.theory import make_mixture_kl_trial, verify_mixture_kl_bound
 
@@ -155,6 +155,21 @@ class TestGenData:
         assert main(["gen-data", "--config", str(bad),
                      "--out-sources", str(tmp_path / "s"),
                      "--out-target", str(tmp_path / "t")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config {path}: "),
+        ("[1, 2]", "{path}: config must be a JSON object"),
+        ('{"train": [1]}', "{path}: section 'train' must be an object"),
+    ], ids=["unreadable", "not an object", "section not an object"])
+    def test_unusable_config_file_names_it(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        if text is not None:  # otherwise the file does not exist
+            bad.write_text(text)
+        rc = main(["gen-data", "--config", str(bad),
+                   "--out-sources", str(tmp_path / "s"), "--out-target", str(tmp_path / "t")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: " + message.format(path=bad))
+        assert not (tmp_path / "s").exists()
 
 
 class TestTrain:
@@ -579,6 +594,18 @@ class TestSweepRank:
 
 
 class TestAblate:
+    def test_without_cells_trains_all_six(self, workspace, tmp_path):
+        table = tmp_path / "ablate.csv"
+        rc = main([
+            "ablate", "--config", str(workspace["config"]),
+            "--sources", str(workspace["sources"]),
+            "--target", str(workspace["target"]),
+            "--seeds", "0", "--out", str(table),
+        ])
+        assert rc == 0
+        rows = table.read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == list(ABLATION_CELLS)
+
     def test_cell_subset_table(self, workspace, tmp_path):
         table = tmp_path / "ablate.csv"
         rc = main([

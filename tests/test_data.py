@@ -252,6 +252,15 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: not UTF-8")):
             load_dataset(path)
 
+    @pytest.mark.parametrize("header", ["LDDG-DS one 1 2 3 0", "LDDG-DS 1 1 2 3.0 0",
+                                        "LDDG-DS 1 1 2 3 x"])
+    def test_non_integer_header_field_names_the_line(self, tmp_path, header):
+        path = tmp_path / "ds.txt"
+        path.write_text(header + "\n")
+        msg = f"{path}: line 1: non-integer header field in {header!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            load_dataset(path)
+
     def test_out_of_range_record_rejected(self, tmp_path):
         path = tmp_path / "ds.txt"
         path.write_text("LDDG-DS 1 1 2 3 1\n0 5 1.0 2.0 3.0\n")

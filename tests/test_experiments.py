@@ -576,6 +576,25 @@ class TestGroups:
         ):
             ablate_components(hot, sources, target, seeds=(1, 0), cells=("kl", "nuclear"))
 
+    def test_an_unpenalised_member_whose_loss_diverges_is_named(self, tiny):
+        # features this large leave the heads finite but overflow the KL; at
+        # lambda1 = 0 the penalty is not computed, so 'rank' reads None
+        sources, target = tiny
+        huge = DomainDataset(
+            num_domains=sources.num_domains,
+            num_classes=sources.num_classes,
+            feature_dim=sources.feature_dim,
+            features=sources.features * 1e160,
+            labels=sources.labels,
+            domain_ids=sources.domain_ids,
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            RuntimeError,
+            match=r"^training diverged at epoch 0, batch 0 \(cell kl, seed 1\): "
+                  r"non-finite loss, parts=\{'cls': .*, 'rank': None, 'kl': inf, ",
+        ):
+            ablate_components(TINY_TRAIN, huge, target, seeds=(1,), cells=("kl", "rank+kl"))
+
     def test_a_diverging_rank_is_named(self, tiny):
         # Adam's first step at this rate makes the next batch's activations
         # non-finite in every member; the first one is named

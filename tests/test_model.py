@@ -93,6 +93,14 @@ class TestInitAndForward:
         with pytest.raises(ValueError):
             forward(params, np.full((2, 6), np.nan))
 
+    def test_overflowing_head_outputs_are_rejected(self):
+        params, x, _, noise = small_setup()
+        params.head_mu.weight *= 1e300
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="matrix contains non-finite entries"
+        ):
+            forward(params, x * 1e300, noise)
+
 
 class TestLeakyRelu:
     def test_matches_the_np_where_form_bit_for_bit(self):
@@ -315,6 +323,19 @@ class TestAdam:
         )
 
 
+    def test_update_leaves_backwards_gradients_unchanged(self):
+        # one model's gradients live in a vector of their own, which the
+        # update must copy rather than consume
+        params, x, labels, noise = small_setup()
+        state = AdamState.for_params(params)
+        trace = forward(params, x, noise)
+        total_loss(trace, labels, SMALL)
+        grads = backward(params, trace, labels, SMALL)
+        before = [a.tobytes() for a in grads.flat()]
+        adam_step(params, grads, state, lr=0.1, weight_decay=0.5)
+        assert [a.tobytes() for a in grads.flat()] == before
+        assert state.t == 1
+
     def test_params_not_backed_by_the_state_are_rejected(self):
         params, _, _, _ = small_setup()
         state = AdamState.for_params(params)
@@ -397,6 +418,10 @@ class TestCheckpoint:
             (b"LDDG-MODEL \xff1\n5\n", r"line 1: bad header line 'LDDG-MODEL \\\\xff1': 'utf-8'"),
             (b"LDDG-MODEL 1\n5\n" + b"foo 4 4\n" + b"linear 4 4\n" * 4,
              "line 3: bad header line 'foo 4 4': unknown activation 'foo'"),
+            (b"LDDG-MODEL 1\n4\n" + b"linear 4 4\n" * 4, "checkpoint needs >= 5 layers, found 4"),
+            # a header that declares more layers than it lists misses a line
+            (b"LDDG-MODEL 1\n6\n" + b"linear 4 4\n" * 5, "line 8: bad header line ''"),
+            (b"LDDG-MODEL 1\n5\n" + b"linear 4 4\n" * 6, "header declares 5 layers, found 6"),
         ],
     )
     def test_defective_header_names_the_line(self, tmp_path, header, message):

@@ -4,7 +4,8 @@
 
 Run it on each tree and compare the outputs: any line that differs names
 the result that changed.  It covers the study rows of all six ablation
-cells and of ranks 1-8 (with 48-row and with 600-row steps), the bytes
+cells and of ranks 1-8 (with 48-row and with 600-row steps, the latter
+also with one seed, so that every member of a group shares it), the bytes
 of the two files ``lddg gen-data`` writes, the checkpoint bytes, the
 metrics JSONL (without its wall time) and the stdout of ``lddg train``,
 the output of ``lddg eval``, the ``lddg verify`` reports and stdout for
@@ -58,6 +59,8 @@ def main():
     sources6, target6 = generate_synthetic(SyntheticConfig(offset_scale=0.6))
     for row in sweep_rank(full, sources6, target6, ranks=range(1, 9), seeds=(0, 1)):
         print("sweep-600", repr(asdict(row)))
+    for row in sweep_rank(full, sources6, target6, ranks=range(1, 9), seeds=(0,)):
+        print("sweep-600-one-seed", repr(asdict(row)))
 
     with tempfile.TemporaryDirectory() as tmp:
         path = {name: os.path.join(tmp, name) for name in
