@@ -5,8 +5,8 @@ train, sweep-rank and ablate accept ``--config``, a JSON file with up to two
 sections, ``synthetic`` and ``train``, which mirror ``SyntheticConfig`` and
 ``TrainConfig``.  Each section is checked by its dataclass, which rejects a
 wrong type or an out-of-range value by name; JSON lists become tuples.
-Explicit flags override config-file values, which override built-in
-defaults.  Unknown sections or keys are rejected rather than ignored.
+Config-file values override built-in defaults; no flag sets a config value.
+Unknown sections or keys are rejected rather than ignored.
 Output paths come from flags only; an output at the path of one of the
 command's inputs or of another output is a usage error.  sweep-rank and
 ablate are one command body (``cmd_study``) over two studies that share one
@@ -81,21 +81,14 @@ def load_config(path):
     return raw
 
 
-def _config(cls, section, raw, args):
-    """``cls`` built from the config's ``section``, then overridden by flags.
+def _config(cls, section, path):
+    """``cls`` built from ``section`` of the config file at ``path``.
 
     JSON lists become tuples; every other value goes to ``cls`` as it is,
-    whose own checks reject a wrong type.  A flag overrides the field its
-    dest names when it is set (an unset flag is None).
+    whose own checks reject a wrong type.
     """
-    kwargs = {k: tuple(v) if isinstance(v, list) else v
-              for k, v in raw.get(section, {}).items()}
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(cls)
-        if getattr(args, f.name, None) is not None
-    }
-    return dataclasses.replace(cls(**kwargs), **overrides)
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in load_config(path).get(section, {}).items()})
 
 
 def _check_paths(args):
@@ -150,7 +143,7 @@ def _parse_int_list(text, what, flag):
 
 def cmd_gen_data(args) -> int:
     out_sources, out_target = args.out_sources, args.out_target
-    cfg = _config(SyntheticConfig, "synthetic", load_config(args.config), args)
+    cfg = _config(SyntheticConfig, "synthetic", args.config)
     sources, target = generate_synthetic(cfg)
     save_dataset(out_sources, sources)
     save_dataset(out_target, target)
@@ -161,7 +154,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     model_out, metrics_out = args.model_out, args.metrics_out
-    cfg = _config(TrainConfig, "train", load_config(args.config), args)
+    cfg = _config(TrainConfig, "train", args.config)
     sources = load_dataset(args.sources)
     target = None
     if args.target is not None:  # checked before, not after, the whole run
@@ -260,7 +253,7 @@ def _cells(args):
 def cmd_study(args) -> int:
     """sweep-rank and ablate: ``args.study`` over the variants that
     ``args.variants`` reads, as a CSV table keyed by the row's ``args.key``."""
-    cfg = _config(TrainConfig, "train", load_config(args.config), args)
+    cfg = _config(TrainConfig, "train", args.config)
     variants = args.variants(args)
     seeds = _parse_int_list(args.seeds, "seed", "--seeds")
     sources = load_dataset(args.sources)
@@ -295,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate the synthetic multi-domain benchmark")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int, help="override the generation seed")
     p.add_argument("--out-sources", required=True, help="path for the source-domains dataset")
     p.add_argument("--out-target", required=True, help="path for the held-out target dataset")
     p.set_defaults(func=cmd_gen_data, reads=("--config",),
@@ -307,16 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="optional LDDG-DS target dataset to evaluate")
     p.add_argument("--model-out", help="checkpoint output path")
     p.add_argument("--metrics-out", help="JSONL metrics output path")
-    p.add_argument("--seed", type=int)
-    _add_train_overrides(p)
-    p.add_argument("--rank-target", type=int, dest="rank_target")
-    p.add_argument("--regularizer", choices=["rank", "nuclear"])
-    p.add_argument(
-        "--log-singular-values",
-        action="store_true",
-        default=None,
-        help="log the top singular values of the latent batch each epoch",
-    )
     p.set_defaults(func=cmd_train, reads=("--config", "--sources", "--target"),
                    writes=("--model-out", "--metrics-out"))
 
@@ -358,18 +340,8 @@ def _add_study(sub, name, help_text, variant_flag, variant_kwargs, **defaults):
     p.add_argument(variant_flag, **variant_kwargs)
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--out", help="CSV output path (stdout when omitted)")
-    _add_train_overrides(p)
     p.set_defaults(func=cmd_study, reads=("--config", "--sources", "--target"),
                    writes=("--out",), **defaults)
-
-
-def _add_train_overrides(p):
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay")
-    p.add_argument("--batch-per-domain", type=int, dest="batch_per_domain")
 
 
 def main(argv=None) -> int:

@@ -2,16 +2,21 @@
 
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lddg.cli
-from lddg.cli import main
+import lddg.theory
+from lddg.cli import build_parser, main
 from lddg.data import load_dataset, save_dataset
 from lddg.experiments import ABLATION_CELLS, evaluate
 from lddg.model import load_checkpoint, save_checkpoint
-from lddg.theory import make_mixture_kl_trial, verify_mixture_kl_bound
+from lddg.theory import BoundReport, make_mixture_kl_trial, verify_mixture_kl_bound
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_SYNTH = {
     "num_domains": 2,
@@ -38,6 +43,15 @@ def _strict_json(text):
     def reject(name):
         raise ValueError(f"{name} is not valid JSON")
     return json.loads(text, parse_constant=reject)
+
+
+def _config_with(tmp_path, section, **values):
+    """The workspace's config with ``values`` set in ``section``, as a file."""
+    raw = {"synthetic": TINY_SYNTH, "train": TINY_TRAIN}
+    raw[section] = {**raw[section], **values}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return path
 
 
 def _domain_0_only(workspace, path):
@@ -82,15 +96,6 @@ class TestGenData:
         assert rc == 0
         assert src2.read_bytes() == workspace["sources"].read_bytes()
         assert tgt2.read_bytes() == workspace["target"].read_bytes()
-
-    def test_seed_flag_overrides_config(self, workspace, tmp_path):
-        src2, tgt2 = tmp_path / "s.txt", tmp_path / "t.txt"
-        rc = main([
-            "gen-data", "--config", str(workspace["config"]), "--seed", "9",
-            "--out-sources", str(src2), "--out-target", str(tgt2),
-        ])
-        assert rc == 0
-        assert src2.read_bytes() != workspace["sources"].read_bytes()
 
     def test_missing_output_path_is_usage_error(self, workspace, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -140,9 +145,9 @@ class TestGenData:
         assert rc == 1
         assert "num_classes" in capsys.readouterr().err
 
-    def test_negative_seed_names_the_seed(self, workspace, tmp_path, capsys):
+    def test_negative_seed_names_the_seed(self, tmp_path, capsys):
         rc = main([
-            "gen-data", "--config", str(workspace["config"]), "--seed", "-1",
+            "gen-data", "--config", str(_config_with(tmp_path, "synthetic", seed=-1)),
             "--out-sources", str(tmp_path / "s.txt"), "--out-target", str(tmp_path / "t.txt"),
         ])
         assert rc == 1
@@ -224,9 +229,8 @@ class TestTrain:
     def test_unweighted_penalty_reads_not_computed(self, workspace, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"
         rc = main([
-            "train", "--config", str(workspace["config"]),
-            "--sources", str(workspace["sources"]),
-            "--lambda1", "0", "--metrics-out", str(metrics),
+            "train", "--config", str(_config_with(tmp_path, "train", lambda1=0)),
+            "--sources", str(workspace["sources"]), "--metrics-out", str(metrics),
         ])
         assert rc == 0
         lines = [_strict_json(ln) for ln in metrics.read_text().splitlines()]
@@ -239,29 +243,18 @@ class TestTrain:
             np.testing.assert_allclose(rec["total"], rec["cls"] + 0.4 * rec["kl"], atol=1e-12)
         assert "rank not computed, kl" in capsys.readouterr().out
 
-    def test_flag_overrides_config_epochs(self, workspace, tmp_path):
-        metrics = tmp_path / "metrics.jsonl"
+    def test_zero_epochs_is_rejected(self, workspace, tmp_path, capsys):
         rc = main([
-            "train", "--config", str(workspace["config"]),
+            "train", "--config", str(_config_with(tmp_path, "train", epochs=0)),
             "--sources", str(workspace["sources"]),
-            "--metrics-out", str(metrics), "--epochs", "1",
-        ])
-        assert rc == 0
-        lines = [json.loads(ln) for ln in metrics.read_text().splitlines()]
-        assert sum(ln["kind"] == "epoch" for ln in lines) == 1
-
-    def test_zero_epochs_is_rejected(self, workspace, capsys):
-        rc = main([
-            "train", "--config", str(workspace["config"]),
-            "--sources", str(workspace["sources"]), "--epochs", "0",
         ])
         assert rc == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
 
-    def test_negative_seed_names_the_seed(self, workspace, capsys):
+    def test_negative_seed_names_the_seed(self, workspace, tmp_path, capsys):
         rc = main([
-            "train", "--config", str(workspace["config"]),
-            "--sources", str(workspace["sources"]), "--seed", "-1",
+            "train", "--config", str(_config_with(tmp_path, "train", seed=-1)),
+            "--sources", str(workspace["sources"]),
         ])
         assert rc == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
@@ -367,6 +360,32 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--sources", str(workspace["sources"]), flag, value])
         assert exc.value.code == 2
+
+
+_STUDY_OVERRIDES = ("--epochs", "--lambda1", "--lambda2", "--learning-rate", "--weight-decay",
+                    "--batch-per-domain")
+_REMOVED_FLAGS = {
+    "gen-data": ("--seed",),
+    "train": ("--seed", *_STUDY_OVERRIDES, "--rank-target", "--regularizer",
+              "--log-singular-values"),
+    "sweep-rank": _STUDY_OVERRIDES,
+    "ablate": _STUDY_OVERRIDES,
+}
+_REQUIRED_PATHS = {"gen-data": ("--out-sources", "--out-target"), "train": ("--sources",),
+                   "sweep-rank": ("--sources", "--target"), "ablate": ("--sources", "--target")}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in _REMOVED_FLAGS.items() for f in flags]
+)
+def test_removed_override_flag_is_usage_error(tmp_path, capsys, command, flag):
+    """A config value is set in --config only; its old flag is unknown."""
+    paths = [arg for p in _REQUIRED_PATHS[command] for arg in (p, str(tmp_path / p[2:]))]
+    value = [] if flag == "--log-singular-values" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *paths, flag, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -500,6 +519,24 @@ class TestVerify:
         assert [r["detail"]["num_classes"] for r in records] == [2, 7, 2, 7]
         assert all(r["satisfied"] for r in records)
 
+    def test_trial_that_cannot_be_drawn_is_a_failure_record(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lddg.theory, "_RISK_MAX_RETRIES", 0)
+        report = tmp_path / "t2.jsonl"
+        rc = main(["verify", "--theorem", "2", "--trials", "2", "--report", str(report)])
+        assert rc == 1
+        error = "could not draw an acceptable risk-bound trial in 0 attempts"
+        assert [json.loads(ln) for ln in report.read_text().splitlines()] == [
+            {"trial": i, "satisfied": False, "error": error} for i in range(2)
+        ]
+        assert "theorem 2: 0/2 trials satisfied" in capsys.readouterr().out
+
+    def test_violated_bound_counts_as_failed(self, capsys, monkeypatch):
+        violated = BoundReport("mixture-kl", lhs=1.0, rhs=0.0, tolerance=0.0, satisfied=False)
+        monkeypatch.setattr(lddg.cli, "verify_mixture_kl_bound", lambda trial: violated)
+        rc = main(["verify", "--theorem", "1", "--trials", "2"])
+        assert rc == 1
+        assert "theorem 1: 0/2 trials satisfied" in capsys.readouterr().out
+
     def test_zero_trials_is_usage_error(self, capsys):
         rc = main(["verify", "--theorem", "1", "--trials", "0"])
         assert rc == 2
@@ -538,9 +575,8 @@ class TestSweepRank:
 
         model = tmp_path / "m.ckpt"
         rc = main([
-            "train", "--config", str(workspace["config"]),
+            "train", "--config", str(_config_with(tmp_path, "train", rank_target=3, seed=0)),
             "--sources", str(workspace["sources"]), "--model-out", str(model),
-            "--rank-target", "3", "--seed", "0",
         ])
         assert rc == 0
         out = tmp_path / "eval.json"
@@ -573,12 +609,12 @@ class TestSweepRank:
         assert rc == 2
         assert "duplicate" in capsys.readouterr().err
 
-    def test_zero_batch_per_domain_names_the_flag(self, workspace, capsys):
+    def test_zero_batch_per_domain_names_the_key(self, workspace, tmp_path, capsys):
         rc = main([
-            "sweep-rank", "--config", str(workspace["config"]),
+            "sweep-rank", "--config", str(_config_with(tmp_path, "train", batch_per_domain=0)),
             "--sources", str(workspace["sources"]),
             "--target", str(workspace["target"]),
-            "--batch-per-domain", "0", "--ranks", "2",
+            "--ranks", "2",
         ])
         assert rc == 1
         assert "batch_per_domain must be >= 1" in capsys.readouterr().err
@@ -770,3 +806,16 @@ class TestStdoutMatchesFile:
         printed = capsys.readouterr().out.encode()
         written = out.read_bytes()
         assert printed in (summary.encode() + written, written + summary.encode())
+
+
+@pytest.mark.parametrize("path", ["README.md", "demos/cli_walkthrough.sh"])
+def test_documented_command_lines_parse(path):
+    """Every ``lddg`` command line the docs show names only flags that exist."""
+    text = (ROOT / path).read_text()
+    if path == "README.md":  # the fenced block of its "Command line" section
+        text = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = text.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("lddg ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -54,6 +54,10 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy_softmax(np.zeros(3), -1)
 
+    def test_logits_of_several_rows_rejected(self):
+        with pytest.raises(ValueError, match="expects 1-D logits"):
+            cross_entropy_softmax(np.zeros((2, 3)), 0)
+
 
 class TestBatchMean:
     def test_matches_per_sample_average(self):
@@ -79,6 +83,11 @@ class TestBatchMean:
             batch_mean(np.zeros((3, 2)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
             batch_mean(np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3, 4)])
+    def test_logits_neither_matrix_nor_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match="2-D logits matrix"):
+            batch_mean(np.zeros(shape), np.zeros(shape[:-1], dtype=int))
 
 
 def _reference_row_losses(logits, labels):

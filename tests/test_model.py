@@ -218,6 +218,27 @@ class TestBackward:
             denom = max(np.linalg.norm(fd), 1e-8)
             assert np.linalg.norm(g_arr - fd) / denom < 1e-5
 
+    def test_linear_trunk_layer_gradients_match_finite_differences(self):
+        # init_params builds no linear trunk layer; a hand-built model does
+        params, x, labels, noise = small_setup(seed=5)
+        first = params.encoder[0]
+        params = ModelParams([Layer(first.weight, first.bias, "linear")], params.head_hidden,
+                             params.head_mu, params.head_log_var, params.classifier)
+        trace = forward(params, x, noise)
+        total_loss(trace, labels, SMALL)
+        grads = backward(params, trace, labels, SMALL)
+        for p_arr, g_arr in zip(params.flat(), grads.flat()):
+            def f(arr, target=p_arr):
+                saved = target.copy()
+                target[...] = arr
+                try:
+                    return loss_value(params, x, labels, SMALL, noise)
+                finally:
+                    target[...] = saved
+
+            fd = finite_diff_grad(f, p_arr, h=1e-6)
+            assert np.linalg.norm(g_arr - fd) / max(np.linalg.norm(fd), 1e-8) < 1e-5
+
     def test_gradient_shapes_mirror_parameters(self):
         params, x, labels, noise = small_setup()
         trace = forward(params, x, noise)

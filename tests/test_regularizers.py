@@ -211,3 +211,11 @@ class TestReparameterize:
         post = GaussianPosterior(np.zeros((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             reparameterize(post, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, value):
+        post = GaussianPosterior(np.zeros((2, 2)), np.zeros((2, 2)))
+        noise = np.zeros((2, 2))
+        noise[1, 0] = value
+        with pytest.raises(ValueError, match="noise contains non-finite entries"):
+            reparameterize(post, noise)

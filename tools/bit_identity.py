@@ -66,19 +66,21 @@ def main():
         path = {name: os.path.join(tmp, name) for name in
                 ("src.txt", "tgt.txt", "model.bin", "metrics.jsonl", "eval.json",
                  "kl.jsonl", "risk.jsonl", "gen.json", "gen-src.txt", "gen-tgt.txt",
-                 "study.json", "sweep.csv", "ablate.csv")}
+                 "train.json", "study.json", "sweep.csv", "ablate.csv")}
         with open(path["gen.json"], "w") as fh:
-            json.dump({"synthetic": {"seed": 4, "samples_per_domain_class": 10}}, fh)
-        code, out = _run(["gen-data", "--config", path["gen.json"], "--seed", "5",
+            json.dump({"synthetic": {"seed": 5, "samples_per_domain_class": 10}}, fh)
+        code, out = _run(["gen-data", "--config", path["gen.json"],
                           "--out-sources", path["gen-src.txt"], "--out-target", path["gen-tgt.txt"]])
         with open(path["gen-src.txt"], "rb") as src, open(path["gen-tgt.txt"], "rb") as tgt:
             print("gen-data exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")),
                   "sources", _digest(src.read()), "target", _digest(tgt.read()))
         save_dataset(path["src.txt"], sources)
         save_dataset(path["tgt.txt"], target)
-        code, out = _run(["train", "--sources", path["src.txt"], "--target", path["tgt.txt"],
-                          "--model-out", path["model.bin"], "--metrics-out", path["metrics.jsonl"],
-                          "--epochs", "4", "--seed", "3", "--log-singular-values"])
+        with open(path["train.json"], "w") as fh:
+            json.dump({"train": {"epochs": 4, "seed": 3, "log_singular_values": True}}, fh)
+        code, out = _run(["train", "--config", path["train.json"], "--sources", path["src.txt"],
+                          "--target", path["tgt.txt"], "--model-out", path["model.bin"],
+                          "--metrics-out", path["metrics.jsonl"]])
         print("train exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")))
         with open(path["model.bin"], "rb") as fh:
             print("checkpoint", _digest(fh.read()))
