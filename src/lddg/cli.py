@@ -6,6 +6,8 @@ sections, ``synthetic`` and ``train``, which mirror ``SyntheticConfig`` and
 ``TrainConfig``.  Each section is checked by its dataclass, which rejects a
 wrong type or an out-of-range value by name; JSON lists become tuples.
 Config-file values override built-in defaults; no flag sets a config value.
+A flag has one spelling: argparse's prefix matching is off, so ``--seed``
+for ``--seeds`` is an unknown flag.
 Unknown sections or keys are rejected rather than ignored.
 Output paths come from flags only; an output at the path of one of the
 command's inputs or of another output is a usage error.  sweep-rank and
@@ -219,7 +221,7 @@ def cmd_verify(args) -> int:
             records.append({"trial": i, "satisfied": False, "error": str(exc)})
             failures += 1
             continue
-        records.append({"trial": i, **dataclasses.asdict(rep)})
+        records.append({"trial": i, **vars(rep)})
         if not rep.satisfied:
             failures += 1
     with _output(args.report) as fh:
@@ -283,17 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lddg",
         description="rank-regularized variational domain generalization, desk scale",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate the synthetic multi-domain benchmark")
+    p = sub.add_parser("gen-data", allow_abbrev=False,
+                       help="generate the synthetic multi-domain benchmark")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out-sources", required=True, help="path for the source-domains dataset")
     p.add_argument("--out-target", required=True, help="path for the held-out target dataset")
     p.set_defaults(func=cmd_gen_data, reads=("--config",),
                    writes=("--out-sources", "--out-target"))
 
-    p = sub.add_parser("train", help="train on a source dataset")
+    p = sub.add_parser("train", allow_abbrev=False, help="train on a source dataset")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--sources", required=True, help="LDDG-DS source dataset")
     p.add_argument("--target", help="optional LDDG-DS target dataset to evaluate")
@@ -302,13 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train, reads=("--config", "--sources", "--target"),
                    writes=("--model-out", "--metrics-out"))
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
+    p = sub.add_parser("eval", allow_abbrev=False, help="evaluate a checkpoint on a dataset")
     p.add_argument("--model", required=True, help="LDDG-MODEL checkpoint")
     p.add_argument("--data", required=True, help="LDDG-DS dataset")
     p.add_argument("--out", help="write the accuracy record to this path")
     p.set_defaults(func=cmd_eval, reads=("--model", "--data"), writes=("--out",))
 
-    p = sub.add_parser("verify", help="numerically check a generalization bound")
+    p = sub.add_parser("verify", allow_abbrev=False,
+                       help="numerically check a generalization bound")
     p.add_argument("--theorem", type=int, choices=[1, 2], required=True,
                    help="1 = mixture KL bound, 2 = combined-risk bound")
     p.add_argument("--trials", type=int, default=100)
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_study(sub, name, help_text, variant_flag, variant_kwargs, **defaults):
     """One study subcommand; ``defaults`` tell cmd_study which study it runs."""
-    p = sub.add_parser(name, help=help_text)
+    p = sub.add_parser(name, allow_abbrev=False, help=help_text)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--sources", required=True)
     p.add_argument("--target", required=True)

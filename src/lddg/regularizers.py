@@ -45,9 +45,10 @@ class GaussianPosterior:
 
     @classmethod
     def _of_heads(cls, mu, log_var):
-        """The posterior of a model's mean and log-variance head outputs,
-        which the model owns: ``log_var`` is clamped in place, in its own
-        buffer, and neither array is copied or checked."""
+        """The posterior of arrays its caller owns and knows to be finite
+        float64 matrices: a model's mean and log-variance head outputs, or
+        a theory trial's drawn components.  ``log_var`` is clamped in
+        place, in its own buffer, and neither array is copied or checked."""
         post = cls.__new__(cls)
         post.mu = mu
         post.log_var = np.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX, out=log_var)

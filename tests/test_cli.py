@@ -388,6 +388,20 @@ def test_removed_override_flag_is_usage_error(tmp_path, capsys, command, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["ablate", "--sources", "s", "--target", "t", "--seed", "3"], "--seed"),
+    (["sweep-rank", "--sources", "s", "--target", "t", "--seed", "3"], "--seed"),
+    (["train", "--sources", "s", "--conf", "c.json"], "--conf"),
+    (["verify", "--theorem", "1", "--trial", "5"], "--trial"),
+])
+def test_abbreviated_flag_is_usage_error(capsys, argv, flag):
+    """A flag has one spelling: a prefix of a longer flag is an unknown flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def model(workspace, tmp_path_factory):
     path = tmp_path_factory.mktemp("eval") / "m.ckpt"

@@ -295,6 +295,92 @@ class TestRiskBoundBits:
         assert (rep.lhs, rep.detail["lhs_se"]) == _reference_risk_lhs(trial, 1500, seed, c)
 
 
+def _reference_mixture_kl(trial):
+    """``verify_mixture_kl_bound``'s numbers as a per-component loop, one
+    fresh array per expression: (lhs, rhs, tolerance, quadrature error) and
+    the mixture density on the grid."""
+    betas = np.asarray(trial.betas, dtype=np.float64)
+    mus = [float(p.mu[0, 0]) for p in trial.source_posteriors]
+    vars_ = [float(np.exp(p.log_var[0, 0])) for p in trial.source_posteriors]
+    x = np.linspace(-16.0, 16.0, 8193)
+    h = x[1] - x[0]
+    q = np.zeros_like(x)
+    for b, m, v in zip(betas, mus, vars_):
+        q = q + b * np.exp(-0.5 * (x - m) ** 2 / v) / np.sqrt(2.0 * np.pi * v)
+    log_prior = -0.5 * x * x - 0.5 * np.log(2.0 * np.pi)
+    integrand = np.where(q > 0.0, q * (np.log(np.maximum(q, 1e-300)) - log_prior), 0.0)
+
+    def simpson(y, h):
+        return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])))
+
+    fine = simpson(integrand, h)
+    quad_err = abs(fine - simpson(integrand[::2], 2.0 * h)) / 15.0
+    rhs = float(np.sum(betas * [gaussian_kl_to_standard(m, v) for m, v in zip(mus, vars_)]))
+    return (fine, rhs, 1e-8 + 16.0 * quad_err, quad_err), q
+
+
+def _hand_built_kl_trial(betas, mus, sigmas):
+    return TheoremTrial(
+        betas=np.array(betas),
+        norm_bound=1.0,
+        num_classes=2,
+        label=0,
+        source_posteriors=[
+            GaussianPosterior(np.array([[m]]), np.array([[2.0 * np.log(s)]]))
+            for m, s in zip(mus, sigmas)
+        ],
+    )
+
+
+_HAND_BUILT_KL_TRIALS = {
+    "one-component": _hand_built_kl_trial([1.0], [1.3], [0.7]),
+    "all-prior": _hand_built_kl_trial(make_mixture_kl_trial(seed=2).betas, [0.0] * 3, [1.0] * 3),
+    "five-components": _hand_built_kl_trial(
+        [0.1, 0.3, 0.2, 0.25, 0.15], [-2.5, -1.0, 0.2, 1.7, 2.9], [0.4, 1.9, 0.8, 1.1, 0.35]
+    ),
+    # far from +-3 both densities underflow to 0, so the integrand's zeroing runs
+    "underflow": _hand_built_kl_trial([0.5, 0.5], [-3.0, 3.0], [0.3, 0.3]),
+}
+
+
+def _numbers(rep):
+    return rep.lhs, rep.rhs, rep.tolerance, rep.detail["quadrature_error"]
+
+
+class TestMixtureKlBits:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_one_pass_matches_the_per_component_loop(self, seed):
+        for i in range(200):
+            trial = make_mixture_kl_trial(seed, i)
+            expected, _ = _reference_mixture_kl(trial)
+            assert _numbers(verify_mixture_kl_bound(trial)) == expected, f"trial {i}"
+
+    @pytest.mark.parametrize("name", list(_HAND_BUILT_KL_TRIALS))
+    def test_hand_built_trials_match_the_per_component_loop(self, name):
+        trial = _HAND_BUILT_KL_TRIALS[name]
+        expected, q = _reference_mixture_kl(trial)
+        if name == "underflow":
+            assert q[0] == q[-1] == 0.0
+        assert _numbers(verify_mixture_kl_bound(trial)) == expected
+
+    @pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (11, 599)])
+    def test_trial_posteriors_are_the_public_constructor_s(self, seed, index):
+        rng = np.random.default_rng([seed, 41, index])
+        rng.uniform(0.05, 1.0, size=3)
+        mus = rng.uniform(-3.0, 3.0, size=3)
+        sigmas = rng.uniform(0.3, 2.0, size=3)
+        posts = make_mixture_kl_trial(seed, index).source_posteriors
+        for post, m, s in zip(posts, mus, sigmas, strict=True):
+            public = GaussianPosterior(mu=np.array([[m]]), log_var=np.array([[2.0 * np.log(s)]]))
+            for got, want in ((post.mu, public.mu), (post.log_var, public.log_var)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.owndata and got.flags.writeable and want.flags.owndata
+        arrays = [a for post in posts for a in (post.mu, post.log_var)]
+        for j, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[j + 1:])
+
+
 class TestLogInequalityFacts:
     def test_log1p_below_identity(self):
         # log(1 + x) <= x on (-1, inf), the elementary fact both bounds use.

@@ -9,7 +9,8 @@ also with one seed, so that every member of a group shares it), the bytes
 of the two files ``lddg gen-data`` writes, the checkpoint bytes, the
 metrics JSONL (without its wall time) and the stdout of ``lddg train``,
 the output of ``lddg eval``, the ``lddg verify`` reports and stdout for
-both theorems, the CSV tables and stdout of small ``lddg sweep-rank``
+both theorems (and theorem 1's at the benchmark's 600 trials, seeds 0 and
+2121), the CSV tables and stdout of small ``lddg sweep-rank``
 and ``lddg ablate`` runs, the stdout of ``eval``, ``verify``, ``sweep-rank``
 and ``ablate`` when they are given no output path, and the bytes of
 ``true_latent_matrix`` for the default config and a noiseless 5-domain one.
@@ -104,6 +105,12 @@ def main():
                       "report", _digest(fh.read()))
             code, out = _run(["verify", "--theorem", theorem, "--trials", "40", "--seed", "7"])
             print(f"verify {theorem} to stdout exit", code, "stdout", _digest(out))
+        for seed in ("0", "2121"):
+            code, out = _run(["verify", "--theorem", "1", "--trials", "600", "--seed", seed,
+                              "--report", path["kl.jsonl"]])
+            with open(path["kl.jsonl"]) as fh:
+                print(f"verify 1 x600 seed {seed} exit", code,
+                      "stdout", _digest(out.replace(tmp, "<tmp>")), "report", _digest(fh.read()))
         with open(path["study.json"], "w") as fh:
             json.dump({"train": {"epochs": 2, "lambda1": 0.2}}, fh)
         data = ["--config", path["study.json"], "--sources", path["src.txt"],
