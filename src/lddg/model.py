@@ -10,7 +10,7 @@ explicitly, layer by layer; tests check it against central differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import cached_property
 
 import numpy as np
 
@@ -239,43 +239,75 @@ def _rows(flat, n, width):
 class _Buffers:
     """The arrays of one training step for models of ``layout`` stacked on
     the leading axes ``lead`` (``()`` for one model), on batches of up to
-    ``rows`` rows, allocated once.  ``at(n)`` views them for an n-row batch
-    (cached per n), each member's (n, width) block contiguous, as one
-    model's (n, width) array is.  Stacked members' gradients are
-    ``_Stacked``, one model's a ModelParams."""
+    ``rows`` rows.  Each array is allocated when a call first asks for it
+    and kept from then on, so a set made for one call holds only the arrays
+    that call writes.  ``at(n)`` views them for an n-row batch (cached per
+    n), each member's (n, width) block contiguous, as one model's (n, width)
+    array is.  Stacked members' gradients are ``_Stacked``, one model's a
+    ModelParams."""
 
     _LATENT = ("mu", "log_var", "d_z", "d_mu", "std")
 
     def __init__(self, lead, rows, layout):
-        self._layout = layout
+        self.lead, self.rows, self.layout = lead, rows, layout
         trunk, latent, classes = layout[:-3], layout[-3][1], layout[-1][1]
         widest = max(out for _, out, _ in trunk)
-        widths = {f"act{i}": out for i, (_, out, _) in enumerate(trunk)}
-        widths |= {"a": widest, "b": widest, "logits": classes}
-        widths |= dict.fromkeys(self._LATENT, latent)
-        self._flat = {name: np.empty((*lead, rows * w)) for name, w in widths.items()}
-        size = sum(out * in_dim + out for _, out, in_dim in layout)
-        grad = np.empty((*lead, size))
-        self.grads = (_unflatten(grad, layout, _Stacked, vector=grad) if lead
-                      else _unflatten(grad, layout))
-        self.scratch = np.empty((*lead, size))  # Adam's temporaries
+        self.widths = {f"act{i}": out for i, (_, out, _) in enumerate(trunk)}
+        self.widths |= {"a": widest, "b": widest, "logits": classes}
+        self.widths |= dict.fromkeys(self._LATENT, latent)
+        self.size = sum(out * in_dim + out for _, out, in_dim in layout)
+        self._flat = {}
         self._at = {}
 
+    def flat(self, name):
+        """The (*lead, rows * width) array ``name``."""
+        flat = self._flat.get(name)
+        if flat is None:
+            flat = self._flat[name] = np.empty((*self.lead, self.rows * self.widths[name]))
+        return flat
+
+    @cached_property
+    def grads(self):
+        """The gradients, as views of one vector per member."""
+        grad = np.empty((*self.lead, self.size))
+        return (_unflatten(grad, self.layout, _Stacked, vector=grad) if self.lead
+                else _unflatten(grad, self.layout))
+
+    @cached_property
+    def scratch(self):
+        """Adam's temporaries."""
+        return np.empty((*self.lead, self.size))
+
     def at(self, n):
-        views = self._at.get(n)
-        if views is None:
-            flat, trunk, latent = self._flat, self._layout[:-3], self._layout[-3][1]
-            widths = {out for _, out, _ in trunk}
-            views = self._at[n] = SimpleNamespace(
-                acts=[_rows(flat[f"act{i}"], n, out) for i, (_, out, _) in enumerate(trunk)],
-                logits=_rows(flat["logits"], n, self._layout[-1][1]),
-                # two trunk-width arrays that the trunk's gradients alternate between
-                pair=tuple({w: _rows(flat[name], n, w) for w in widths} for name in "ab"),
-                grads=self.grads,
-                scratch=self.scratch,
-                **{name: _rows(flat[name], n, latent) for name in self._LATENT},
-            )
-        return views
+        """The arrays viewed for an n-row batch (see ``_Views``)."""
+        return _Views(self, n)
+
+
+class _Views(dict):
+    """A ``_Buffers``' arrays viewed for an n-row batch, each view made the
+    first time it is read and kept in the buffers for the next call with n
+    rows: ``"acts"`` (the list of the trunk layers' outputs), ``("a",
+    width)`` and ``("b", width)`` (two arrays that the trunk's gradients
+    alternate between), ``"logits"``, the latent-width names and
+    ``"grads"``.  The buffers keep plain dicts, never a ``_Views``, so a
+    set refers to nothing that refers back to it."""
+
+    def __init__(self, buffers, n):
+        self.made = buffers._at.setdefault(n, {})
+        super().__init__(self.made)
+        self.buffers, self.n = buffers, n
+
+    def __missing__(self, key):
+        b = self.buffers
+        if key == "acts":
+            view = [self[f"act{i}"] for i in range(len(b.layout) - 3)]
+        elif key == "grads":
+            view = b.grads
+        else:
+            name, width = key if isinstance(key, tuple) else (key, b.widths[key])
+            view = _rows(b.flat(name), self.n, width)
+        self[key] = self.made[key] = view
+        return view
 
 
 @dataclass
@@ -310,7 +342,8 @@ def _member(params, m):
 
 def _step_arrays(params, n):
     """``params``' step buffers viewed for n rows; params without buffers
-    (one model) get a set of their own, for this call alone."""
+    (one model) get a set of their own, for this call alone, which
+    allocates only the arrays the call writes."""
     buffers = getattr(params, "buffers", None) or _Buffers((), n, _layout(params))
     return buffers.at(n)
 
@@ -367,10 +400,10 @@ def _trunk(params, h, acts=None, arrays=None):
     layers' outputs is appended to that list.  ``arrays`` (see
     ``_step_arrays``) supplies buffers for the outputs."""
     layers = [*params.encoder, params.head_hidden]
-    outs = [None] * len(layers) if arrays is None else arrays.acts
+    outs = [None] * len(layers) if arrays is None else arrays["acts"]
     for layer, out in zip(layers, outs):
         h = _affine(h, layer, out)  # unless acts keeps it, the input is freed here
-        tmp = None if arrays is None else arrays.pair[0].get(h.shape[-1])
+        tmp = None if arrays is None else arrays["a", h.shape[-1]]
         _activate(h, layer.activation, tmp)
         if acts is not None:
             acts.append(h)
@@ -393,8 +426,8 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     arrays = _step_arrays(params, x.shape[-2])
     acts = []
     h = _trunk(params, x, acts, arrays)
-    mu = _affine(h, params.head_mu, arrays.mu)
-    log_var = _affine(h, params.head_log_var, arrays.log_var)
+    mu = _affine(h, params.head_mu, arrays["mu"])
+    log_var = _affine(h, params.head_log_var, arrays["log_var"])
     finite = np.isfinite(mu).all(axis=(-2, -1)) & np.isfinite(log_var).all(axis=(-2, -1))
     if not finite.all():
         raise _MemberError("matrix contains non-finite entries (NaN or Inf)",
@@ -402,7 +435,7 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     posterior = GaussianPosterior._of_heads(mu, log_var)
     eps = np.zeros_like(mu) if noise is None else np.asarray(noise, dtype=np.float64)
     z = reparameterize(posterior, eps)
-    logits = _affine(z, params.classifier, arrays.logits)
+    logits = _affine(z, params.classifier, arrays["logits"])
     return ForwardTrace(
         x=x,
         trunk_act=acts,
@@ -482,7 +515,7 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     stacked = trace.z.ndim == 3
     lambda2 = _per_member(cfg, "lambda2")[:, None, None] if stacked else cfg.lambda2
     arrays = _step_arrays(params, trace.z.shape[-2])
-    layers, outs = params.layers(), arrays.grads.layers()
+    layers, outs = params.layers(), arrays["grads"].layers()
 
     def layer_grads(i, d_out, below):
         np.matmul(_swap(d_out), below, out=outs[i].weight)
@@ -490,15 +523,15 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
 
     d_logits = trace.d_logits
     layer_grads(-1, d_logits, trace.z)  # classifier
-    d_z = np.matmul(d_logits, params.classifier.weight, out=arrays.d_z)
+    d_z = np.matmul(d_logits, params.classifier.weight, out=arrays["d_z"])
     members = zip(d_z, cfg, trace.rank_sub) if stacked else [(d_z, cfg, trace.rank_sub)]
     for d_z_m, c, sub in members:
         if sub is not None:
             d_z_m += c.lambda1 * sub
 
-    d_mu = np.multiply(trace.kl_mu, lambda2, out=arrays.d_mu)
+    d_mu = np.multiply(trace.kl_mu, lambda2, out=arrays["d_mu"])
     d_mu += d_z
-    std = np.multiply(trace.posterior.log_var, 0.5, out=arrays.std)
+    std = np.multiply(trace.posterior.log_var, 0.5, out=arrays["std"])
     np.exp(std, out=std)
     d_lv = d_z  # d_z is spent; d_lv = d_z * noise * 0.5 * std, in its buffer
     d_lv *= trace.noise
@@ -515,20 +548,20 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     layer_grads(-3, d_mu, top_act)
     layer_grads(-2, d_lv, top_act)
 
-    this, other = arrays.pair  # d_act lives in one, the next layer's in the other
+    this, other = "a", "b"  # d_act lives in one, the next layer's in the other
     width = top_act.shape[-1]
-    d_act = np.matmul(d_mu, params.head_mu.weight, out=this.get(width))
-    d_act += np.matmul(d_lv, params.head_log_var.weight, out=other.get(width))
+    d_act = np.matmul(d_mu, params.head_mu.weight, out=arrays[this, width])
+    d_act += np.matmul(d_lv, params.head_log_var.weight, out=arrays[other, width])
     del d_mu, d_lv, std  # the trunk's gradients need only d_act
     for i in reversed(range(len(layers) - 3)):
         layer = layers[i]
         d_pre = _activate_grad(d_act, trace.trunk_act[i], layer.activation,
-                               other.get(d_act.shape[-1]))
+                               arrays[other, d_act.shape[-1]])
         layer_grads(i, d_pre, trace.trunk_act[i - 1] if i > 0 else trace.x)
         if i:  # the gradient w.r.t. the input x is never read
-            d_act = np.matmul(d_pre, layer.weight, out=other.get(layer.weight.shape[-1]))
+            d_act = np.matmul(d_pre, layer.weight, out=arrays[other, layer.weight.shape[-1]])
             this, other = other, this
-    return arrays.grads
+    return arrays["grads"]
 
 
 @dataclass

@@ -13,6 +13,8 @@ is to make the inequalities checkable to tight tolerances, not to scale.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,6 +212,48 @@ _RISK_SOURCES = 3  # source posteriors per risk-bound trial
 _RISK_LATENT_DIM = 6
 _RISK_SAMPLES = 3000  # Monte-Carlo draws per source for epsilon
 _RISK_MAX_RETRIES = 50
+_LONG_ROW = 100  # a short row is tiled over up to this many rows, see _apply_rows
+
+# The latent block, the score block and the combined scores of a risk-bound
+# trial, one flat float64 buffer each per thread, shared by both functions
+# below and grown to the largest size asked for; a result never holds them.
+_scratch = threading.local()
+
+
+def _scratch_array(name: str, shape: tuple) -> np.ndarray:
+    """A C-ordered array of ``shape`` in this thread's buffer ``name``, with
+    whatever values the buffer held.  Growing the buffer allocates an array
+    of ``shape`` itself, so a size too large to allocate fails with numpy's
+    message for that shape."""
+    size = math.prod(shape)
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(shape).reshape(-1)
+        setattr(_scratch, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _apply_rows(op, a: np.ndarray, rows) -> None:
+    """``op(a[j], rows[j], out=a[j])`` for every block j of a C-contiguous
+    ``a`` (K, n, w), with ``rows`` (K, w), or one (w,) row for all blocks.
+
+    numpy broadcasts a short row over many rows slowly, so each block is
+    taken as n / m long rows against the row tiled m times, m the largest
+    divisor of n that divides ``_LONG_ROW``.  Each element meets the same
+    operand as in a row-by-row broadcast."""
+    k, n, w = a.shape
+    m = math.gcd(n, _LONG_ROW)
+    long = a.reshape(k, n // m, m * w)
+    op(long, np.tile(np.asarray(rows).reshape(-1, 1, w), m), out=long)
+
+
+def _scores(z: np.ndarray, weight: np.ndarray, bias, out: np.ndarray) -> None:
+    """``z @ weight.T + bias`` of a (K, n, d) latent block into ``out``
+    (K, n, C), as one product against a contiguous copy of ``weight.T``."""
+    k, n, d = z.shape
+    np.matmul(z.reshape(k * n, d), np.ascontiguousarray(weight.T),
+              out=out.reshape(k * n, out.shape[-1]))
+    _apply_rows(np.add, out, bias)
 
 
 def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> TheoremTrial:
@@ -221,12 +265,17 @@ def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> Theore
     the classifier is so bad that epsilon exceeds 4 nats (the bound would
     still hold, but such trials test nothing interesting).  Fewer than 2
     classes raise ``ValueError``.
+
+    Each source's mean, sigma and normals are drawn in turn, as one source
+    at a time would draw them, and the K sources' samples, scores and
+    losses are then taken as one (K, n, ...) block: every number is the
+    per-source computation's, bit for bit.
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    c, k, d = num_classes, _RISK_SOURCES, _RISK_LATENT_DIM
-    z = np.empty((_RISK_SAMPLES, d))
-    logits = np.empty((_RISK_SAMPLES, c))
+    c, k, d, n = num_classes, _RISK_SOURCES, _RISK_LATENT_DIM, _RISK_SAMPLES
+    z = _scratch_array("z", (k, n, d))
+    logits = _scratch_array("scores", (k, n, c))
     for attempt in range(_RISK_MAX_RETRIES):
         rng = np.random.default_rng([seed, 43, index, attempt])
         label = int(rng.integers(c))
@@ -235,27 +284,25 @@ def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> Theore
         bias = 0.1 * rng.standard_normal(c)
         betas = rng.uniform(0.1, 1.0, size=k)
         betas = betas * rng.uniform(0.8, 1.3) / np.sum(betas)
-        posts, risks, ses = [], [], []
-        for _ in range(k):
-            mu = protos[label] + 0.15 * rng.standard_normal(d)
-            sigma = rng.uniform(0.2, 0.5)
-            posts.append(
-                GaussianPosterior(
-                    mu=mu.reshape(1, d),
-                    log_var=np.full((1, d), 2.0 * np.log(sigma)),
-                )
-            )
-            # z = mu + sigma * N(0, I) and its scores, in place
-            rng.standard_normal(out=z)
-            z *= sigma
-            z += mu
-            np.matmul(z, weight.T, out=logits)
-            logits += bias
-            losses = _row_losses(logits, label)[0]
-            risks.append(float(np.mean(losses)))
-            ses.append(float(np.std(losses) / np.sqrt(_RISK_SAMPLES)))
-        epsilon = max(risks)
+        mus, sigmas = [], []
+        for j in range(k):
+            mus.append(protos[label] + 0.15 * rng.standard_normal(d))
+            sigmas.append(rng.uniform(0.2, 0.5))
+            rng.standard_normal(out=z[j])
+        # z = mu + sigma * N(0, I) and its scores, in place
+        z *= np.array(sigmas)[:, None, None]
+        _apply_rows(np.add, z, mus)
+        _scores(z, weight, bias, logits)
+        losses = _row_losses(logits, label)[0]
+        risks = losses.mean(axis=-1)
+        epsilon = float(risks.max())
         if epsilon <= 4.0:
+            ses = losses.std(axis=-1) / np.sqrt(n)
+            # finite by construction, so no checks and no copies
+            posts = [
+                GaussianPosterior._of_heads(mu.reshape(1, d), np.full((1, d), 2.0 * np.log(sigma)))
+                for mu, sigma in zip(mus, sigmas)
+            ]
             return TheoremTrial(
                 betas=betas,
                 norm_bound=float(np.sum(betas)),
@@ -263,7 +310,7 @@ def make_risk_bound_trial(seed: int, num_classes: int, index: int = 0) -> Theore
                 label=label,
                 source_posteriors=posts,
                 epsilon=epsilon,
-                epsilon_se=max(ses),
+                epsilon_se=float(ses.max()),
                 classifier=(weight, bias),
             )
     raise RuntimeError(
@@ -283,26 +330,33 @@ def verify_risk_bound(
     draws, so ``samples < 2`` raises ``ValueError``; so does a trial without
     one weight per source posterior, or with a posterior that is not one
     sample of the classifier's input width.
+
+    The K sources' normals are one (K, samples, d) draw, the same stream as
+    K draws in turn; their scores are one (K, samples, C) block, and the
+    weighted blocks are added into the combined scores in source order,
+    starting from 0, as a per-source loop would add them.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     if trial.epsilon is None or trial.classifier is None:
         raise ValueError("risk-bound trial must carry epsilon and a classifier")
     weight, bias = trial.classifier
-    betas = _weights(trial, weight.shape[1])
+    d = weight.shape[1]
+    betas = _weights(trial, d)
+    posts = trial.source_posteriors
     rng = np.random.default_rng([seed, 47, index])
-    combined = np.zeros((samples, trial.num_classes))
-    scores = np.empty_like(combined)
-    z = np.empty((samples, weight.shape[1]))
-    for b, post in zip(betas, trial.source_posteriors):
-        # combined += b * ((mu + std * N(0, I)) @ weight.T + bias), in place
-        rng.standard_normal(out=z)
-        z *= np.exp(0.5 * post.log_var[0])
-        z += post.mu[0]
-        np.matmul(z, weight.T, out=scores)
-        scores += bias
-        scores *= b
-        combined += scores
+    combined = _scratch_array("combined", (samples, trial.num_classes))
+    scores = _scratch_array("scores", (len(posts), samples, trial.num_classes))
+    z = _scratch_array("z", (len(posts), samples, d))
+    # combined = sum_j beta_j * ((mu_j + std_j * N(0, I)) @ weight.T + bias)
+    rng.standard_normal(out=z)
+    _apply_rows(np.multiply, z, [np.exp(0.5 * post.log_var[0]) for post in posts])
+    _apply_rows(np.add, z, [post.mu[0] for post in posts])
+    _scores(z, weight, bias, scores)
+    scores *= betas[:, None, None]
+    combined.fill(0.0)
+    for block in scores:
+        combined += block
     losses = _row_losses(combined, trial.label)[0]
     lhs = float(np.mean(losses))
     lhs_se = float(np.std(losses) / np.sqrt(samples))

@@ -524,6 +524,19 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
         assert not report.exists()
 
+    @pytest.mark.parametrize("flags", [["--classes", str(10**12)], ["--classes", str(10**17)],
+                                       ["--samples", str(10**17)], ["--samples", str(10**18)]])
+    def test_count_too_large_to_allocate_is_a_message(self, tmp_path, capsys, flags):
+        # numpy says "Unable to allocate" or, past the largest array size,
+        # "array is too big"; either is one line, not a traceback
+        report = tmp_path / "t2.jsonl"
+        rc = main(["verify", "--theorem", "2", "--trials", "2", "--report", str(report), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not report.exists()
+
     def test_theorem_2_cycles_class_counts(self, tmp_path, capsys):
         report = tmp_path / "t2.jsonl"
         rc = main(["verify", "--theorem", "2", "--trials", "4",

@@ -14,7 +14,8 @@ from dataclasses import replace
 
 from lddg.data import SyntheticConfig, generate_synthetic, load_dataset, save_dataset
 from lddg.experiments import ABLATION_CELLS, evaluate, train
-from lddg.model import TrainConfig, init_params
+from lddg.model import TrainConfig, backward, forward, init_params, total_loss
+from lddg.theory import _RISK_SAMPLES, _RISK_SOURCES, make_risk_bound_trial, verify_risk_bound
 
 F8 = 8  # bytes per float64
 
@@ -75,6 +76,28 @@ def test_training_holds_one_step_at_a_time(sweep_data):
     assert _peak_bytes(train, SWEEP_TRAIN, sources) <= bound
 
 
+def test_a_lone_forward_and_backward_hold_only_the_arrays_they_write():
+    # In units of one (rows, trunk width) array.  forward writes the three
+    # trunk activations, the leaky ReLU's temporary, the posterior's mean
+    # and log-variance and the latent sample (half a unit each) and the
+    # logits: 5.6 units.  backward writes d_z, d_mu and std (half a unit
+    # each), the two trunk-width arrays its gradients alternate between and
+    # the gradients: 3.5 units.  A whole step's set would add about 3 units
+    # to each.
+    cfg = TrainConfig()
+    rng = np.random.default_rng(0)
+    params = init_params(16, 4, cfg, rng)
+    n, width = 1600, 32
+    x = rng.standard_normal((n, 16))
+    noise = rng.standard_normal((n, cfg.latent_dim))
+    labels = rng.integers(0, 4, n)
+    unit = n * width * F8  # 0.39 MiB
+    assert _peak_bytes(forward, params, x, noise) <= 6 * unit
+    trace = forward(params, x, noise)
+    total_loss(trace, labels, cfg)
+    assert _peak_bytes(backward, params, trace, labels, cfg) <= 4 * unit
+
+
 def _group_bound(members, rows, width, n_params):
     # Per member, the 13 units of one (rows, trunk width) array that bound
     # a lone run (a stacked step holds the same arrays for each member,
@@ -112,3 +135,21 @@ def test_load_dataset_holds_its_arrays_and_one_line(sweep_data, tmp_path):
     n, fd = len(target), target.feature_dim
     bound = n * (fd + 2) * F8 + 64 * 1024  # 0.28 MiB
     assert _peak_bytes(load_dataset, path) <= bound
+
+
+def test_a_second_theorem_2_trial_holds_only_its_loss_arrays():
+    # The latent, score and combined-score blocks are kept from the first
+    # trial, so a second allocates only its losses' arrays.  The larger set
+    # is the trial builder's, over its K sources of 3000 draws each at once:
+    # the (K, 3000, C) exponentials and five (K, 3000) vectors' worth for
+    # the row maxima, row sums, losses, label logits and row indices.  The
+    # verifier's, over (4000, C), is smaller.  Fresh blocks would add the
+    # verifier's (K, 4000, C) scores and (4000, C) combined scores.
+    c, samples, k, n = 7, 4000, _RISK_SOURCES, _RISK_SAMPLES
+
+    def trial(i):
+        verify_risk_bound(make_risk_bound_trial(0, c, index=i), samples=samples, seed=0, index=i)
+
+    trial(0)
+    bound = (k * n * c + 5 * k * n) * F8  # 0.82 MiB
+    assert _peak_bytes(trial, 1) <= bound

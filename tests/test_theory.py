@@ -1,5 +1,8 @@
 """Tests for the numerical verification of the two generalization bounds."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -277,22 +280,82 @@ def _reference_risk_lhs(trial, samples, seed, index):
     return float(np.mean(losses)), float(np.std(losses) / np.sqrt(samples))
 
 
+def _assert_reference_risk_bits(trial, rep, seed, c, index, samples):
+    """``trial`` and its report ``rep`` equal the fresh-array references bit for bit."""
+    label, betas, weight, bias, posts, eps, eps_se = _reference_risk_trial(seed, c, index)
+    assert trial.label == label
+    assert trial.betas.tobytes() == betas.tobytes()
+    assert trial.classifier[0].tobytes() == weight.tobytes()
+    assert trial.classifier[1].tobytes() == bias.tobytes()
+    for post, (mu, log_var) in zip(trial.source_posteriors, posts, strict=True):
+        assert post.mu[0].tobytes() == mu.tobytes()
+        assert post.log_var[0].tobytes() == log_var.tobytes()
+    assert (trial.epsilon, trial.epsilon_se) == (eps, eps_se)
+    assert (rep.lhs, rep.detail["lhs_se"]) == _reference_risk_lhs(trial, samples, seed, index)
+
+
+def _trial_arrays(trial):
+    return [trial.betas, *trial.classifier,
+            *(a for post in trial.source_posteriors for a in (post.mu, post.log_var))]
+
+
 class TestRiskBoundBits:
     @pytest.mark.parametrize("c", [2, 3, 7, 8, 9, 16, 129])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_in_place_monte_carlo_matches_fresh_arrays(self, c, seed):
         trial = make_risk_bound_trial(seed, c, index=c)
-        label, betas, weight, bias, posts, eps, eps_se = _reference_risk_trial(seed, c, c)
-        assert trial.label == label
-        assert trial.betas.tobytes() == betas.tobytes()
-        assert trial.classifier[0].tobytes() == weight.tobytes()
-        assert trial.classifier[1].tobytes() == bias.tobytes()
-        for post, (mu, log_var) in zip(trial.source_posteriors, posts, strict=True):
-            assert post.mu[0].tobytes() == mu.tobytes()
-            assert post.log_var[0].tobytes() == log_var.tobytes()
-        assert (trial.epsilon, trial.epsilon_se) == (eps, eps_se)
         rep = verify_risk_bound(trial, samples=1500, seed=seed, index=c)
-        assert (rep.lhs, rep.detail["lhs_se"]) == _reference_risk_lhs(trial, 1500, seed, c)
+        _assert_reference_risk_bits(trial, rep, seed, c, c, 1500)
+
+    def test_results_hold_no_reused_buffer(self):
+        # every pairing of a class count and a sample count, in an order that
+        # makes each call reuse buffers that the call before grew or left
+        # larger than it needs
+        results = []
+        for i, (c, samples) in enumerate(zip([2, 7, 3, 129] * 3, [2, 333, 4000] * 4)):
+            trial = make_risk_bound_trial(11, c, index=i)
+            rep = verify_risk_bound(trial, samples=samples, seed=11, index=i)
+            _assert_reference_risk_bits(trial, rep, 11, c, i, samples)
+            buffers = [theory._scratch.z, theory._scratch.scores, theory._scratch.combined]
+            assert not any(np.shares_memory(a, b) for a in _trial_arrays(trial) for b in buffers)
+            numbers = [rep.lhs, rep.rhs, rep.tolerance,
+                       *(v for key, v in rep.detail.items() if key != "num_classes")]
+            assert all(type(v) is float for v in numbers)  # no view of a buffer
+            results.append((trial, [a.copy() for a in _trial_arrays(trial)],
+                            (trial.epsilon, trial.epsilon_se), rep, repr(vars(rep))))
+        for trial, arrays, eps, rep, printed in results:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(_trial_arrays(trial), arrays))
+            assert (trial.epsilon, trial.epsilon_se) == eps
+            assert repr(vars(rep)) == printed
+
+    def test_threads_draw_into_buffers_of_their_own(self):
+        # four threads on two cores, switching every microsecond: a buffer
+        # shared between threads would mix their draws
+        cases = [(c, i) for i in range(6) for c in (2, 7)]
+
+        def run(c, i):
+            trial = make_risk_bound_trial(5, c, index=i)
+            return repr(vars(verify_risk_bound(trial, samples=700, seed=5, index=i)))
+
+        expected = [run(c, i) for c, i in cases]
+        got = [[None] * len(cases) for _ in range(4)]
+
+        def worker(out):
+            for j, case in enumerate(cases):
+                out[j] = run(*case)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(out,)) for out in got]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [expected] * 4
 
 
 def _reference_mixture_kl(trial):

@@ -9,8 +9,9 @@ also with one seed, so that every member of a group shares it), the bytes
 of the two files ``lddg gen-data`` writes, the checkpoint bytes, the
 metrics JSONL (without its wall time) and the stdout of ``lddg train``,
 the output of ``lddg eval``, the ``lddg verify`` reports and stdout for
-both theorems (and theorem 1's at the benchmark's 600 trials, seeds 0 and
-2121), the CSV tables and stdout of small ``lddg sweep-rank``
+both theorems (also at the benchmark's trial counts, 600 for theorem 1 and
+90 for theorem 2, seeds 0 and 2121, and theorem 2 with five class counts
+and 333 samples), the CSV tables and stdout of small ``lddg sweep-rank``
 and ``lddg ablate`` runs, the stdout of ``eval``, ``verify``, ``sweep-rank``
 and ``ablate`` when they are given no output path, and the bytes of
 ``true_latent_matrix`` for the default config and a noiseless 5-domain one.
@@ -111,6 +112,18 @@ def main():
             with open(path["kl.jsonl"]) as fh:
                 print(f"verify 1 x600 seed {seed} exit", code,
                       "stdout", _digest(out.replace(tmp, "<tmp>")), "report", _digest(fh.read()))
+        for seed in ("0", "2121"):
+            code, out = _run(["verify", "--theorem", "2", "--trials", "90", "--seed", seed,
+                              "--report", path["risk.jsonl"]])
+            with open(path["risk.jsonl"]) as fh:
+                print(f"verify 2 x90 seed {seed} exit", code,
+                      "stdout", _digest(out.replace(tmp, "<tmp>")), "report", _digest(fh.read()))
+        code, out = _run(["verify", "--theorem", "2", "--trials", "40", "--seed", "3",
+                          "--classes", "2,3,7,8,16", "--samples", "333",
+                          "--report", path["risk.jsonl"]])
+        with open(path["risk.jsonl"]) as fh:
+            print("verify 2 classes 2,3,7,8,16 samples 333 exit", code,
+                  "stdout", _digest(out.replace(tmp, "<tmp>")), "report", _digest(fh.read()))
         with open(path["study.json"], "w") as fh:
             json.dump({"train": {"epochs": 2, "lambda1": 0.2}}, fh)
         data = ["--config", path["study.json"], "--sources", path["src.txt"],
