@@ -20,7 +20,6 @@ from .model import (
     TrainConfig,
     _affine,
     _member,
-    _rows,
     _stack,
     _trunk,
     adam_step,
@@ -105,10 +104,10 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     batch has at most C singular values) logs one warning naming its epoch,
     batch and shape.  A diverging run (a non-finite activation or loss)
     raises ``RuntimeError`` naming the epoch and batch, rather than letting
-    Adam ride a NaN.  Each step's arrays are written into buffers
-    allocated once per call.  The returned params are views of the run's
-    Adam vector.  Nothing is scored.  Sources with no records raise
-    ``ValueError``.
+    Adam ride a NaN.  Each step's arrays, its batch and noise among them,
+    are written into buffers allocated once per call.  The returned params
+    are views of the run's Adam vector.  Nothing is scored.  Sources with
+    no records raise ``ValueError``.
 
     ``members`` maps a label to each config of a group that trains
     together; each differs from ``cfg`` in at most lambda1, lambda2,
@@ -140,8 +139,6 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
                          np.random.default_rng([seed, _STREAM_INIT])) for seed in seeds]
     params, state = _stack([inits[s] for s in seed_of], rows)
     rng_noise = [np.random.default_rng([seed, _STREAM_NOISE]) for seed in seeds]
-    fd, d = sources.feature_dim, cfg.latent_dim
-    x_flat, eps_flat = np.empty((len(cfgs), rows * fd)), np.empty((len(cfgs), rows * d))
     rank_c = [c.rank_target or sources.num_classes for c in cfgs]
     warn_inert = [c.regularizer == "rank" and c.lambda1 > 0 for c in cfgs]
     where = ["" if label is None else f" ({label})" for label in labels]
@@ -155,7 +152,7 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
             n = picked[0].size
             # the previous step's arrays go now, before this step allocates its own
             trace = grads = None
-            x, eps = _rows(x_flat, n, fd), _rows(eps_flat, n, d)
+            x, eps = params.buffers.view("x", n), params.buffers.view("eps", n)
             for m, s in enumerate(seed_of):
                 np.take(sources.features, picked[s], axis=0, out=x[m], mode="clip")
                 if first[m] == m:

@@ -231,40 +231,41 @@ def _unflatten(flat, layout, cls=ModelParams, **extra):
     return cls(layers[:-4], *layers[-4:], **extra)
 
 
-def _rows(flat, n, width):
-    """``flat``'s (..., rows * width) buffer viewed as (..., n, width)."""
-    return flat[..., : n * width].reshape(*flat.shape[:-1], n, width)
-
-
-class _Buffers:
+class _Buffers(dict):
     """The arrays of one training step for models of ``layout`` stacked on
     the leading axes ``lead`` (``()`` for one model), on batches of up to
-    ``rows`` rows.  Each array is allocated when a call first asks for it
-    and kept from then on, so a set made for one call holds only the arrays
-    that call writes.  ``at(n)`` views them for an n-row batch (cached per
-    n), each member's (n, width) block contiguous, as one model's (n, width)
-    array is.  Stacked members' gradients are ``_Stacked``, one model's a
-    ModelParams."""
+    ``rows`` rows: ``self[name]`` is the (*lead, rows * width) array
+    ``name``, allocated when a call first asks for it and kept from then
+    on, so a set made for one call holds only the arrays that call writes.
+    The names are ``"x"`` (the batch), ``"eps"`` (its noise), ``"act{i}"``
+    (trunk layer i's output), ``"a"`` and ``"b"`` (two arrays, as wide as
+    the widest trunk layer, that the trunk's gradients alternate between),
+    ``"logits"`` and the latent-width ones in ``_LATENT``.  Stacked
+    members' gradients are ``_Stacked``, one model's a ModelParams.  An
+    empty set is falsy: test for None, never for truth."""
 
-    _LATENT = ("mu", "log_var", "d_z", "d_mu", "std")
+    _LATENT = ("eps", "mu", "log_var", "d_z", "d_mu", "std")
 
     def __init__(self, lead, rows, layout):
+        super().__init__()
         self.lead, self.rows, self.layout = lead, rows, layout
         trunk, latent, classes = layout[:-3], layout[-3][1], layout[-1][1]
         widest = max(out for _, out, _ in trunk)
-        self.widths = {f"act{i}": out for i, (_, out, _) in enumerate(trunk)}
-        self.widths |= {"a": widest, "b": widest, "logits": classes}
+        self.widths = {"x": layout[0][2], "a": widest, "b": widest, "logits": classes}
+        self.widths |= {f"act{i}": out for i, (_, out, _) in enumerate(trunk)}
         self.widths |= dict.fromkeys(self._LATENT, latent)
         self.size = sum(out * in_dim + out for _, out, in_dim in layout)
-        self._flat = {}
-        self._at = {}
 
-    def flat(self, name):
-        """The (*lead, rows * width) array ``name``."""
-        flat = self._flat.get(name)
-        if flat is None:
-            flat = self._flat[name] = np.empty((*self.lead, self.rows * self.widths[name]))
+    def __missing__(self, name):
+        flat = self[name] = np.empty((*self.lead, self.rows * self.widths[name]))
         return flat
+
+    def view(self, name, n, width=None):
+        """Array ``name`` viewed as (*lead, n, width), at its own width by
+        default: each member's (n, width) block is contiguous, as one
+        model's (n, width) array is."""
+        width = self.widths[name] if width is None else width
+        return self[name][..., : n * width].reshape(*self.lead, n, width)
 
     @cached_property
     def grads(self):
@@ -277,37 +278,6 @@ class _Buffers:
     def scratch(self):
         """Adam's temporaries."""
         return np.empty((*self.lead, self.size))
-
-    def at(self, n):
-        """The arrays viewed for an n-row batch (see ``_Views``)."""
-        return _Views(self, n)
-
-
-class _Views(dict):
-    """A ``_Buffers``' arrays viewed for an n-row batch, each view made the
-    first time it is read and kept in the buffers for the next call with n
-    rows: ``"acts"`` (the list of the trunk layers' outputs), ``("a",
-    width)`` and ``("b", width)`` (two arrays that the trunk's gradients
-    alternate between), ``"logits"``, the latent-width names and
-    ``"grads"``.  The buffers keep plain dicts, never a ``_Views``, so a
-    set refers to nothing that refers back to it."""
-
-    def __init__(self, buffers, n):
-        self.made = buffers._at.setdefault(n, {})
-        super().__init__(self.made)
-        self.buffers, self.n = buffers, n
-
-    def __missing__(self, key):
-        b = self.buffers
-        if key == "acts":
-            view = [self[f"act{i}"] for i in range(len(b.layout) - 3)]
-        elif key == "grads":
-            view = b.grads
-        else:
-            name, width = key if isinstance(key, tuple) else (key, b.widths[key])
-            view = _rows(b.flat(name), self.n, width)
-        self[key] = self.made[key] = view
-        return view
 
 
 @dataclass
@@ -340,12 +310,12 @@ def _member(params, m):
     return _unflatten(params.vector[m], _layout(params))
 
 
-def _step_arrays(params, n):
-    """``params``' step buffers viewed for n rows; params without buffers
-    (one model) get a set of their own, for this call alone, which
-    allocates only the arrays the call writes."""
-    buffers = getattr(params, "buffers", None) or _Buffers((), n, _layout(params))
-    return buffers.at(n)
+def _step_buffers(params, n):
+    """``params``' step buffers; params without buffers (one model) get a
+    set for n rows of their own, for this call alone, which allocates only
+    the arrays the call writes."""
+    buffers = getattr(params, "buffers", None)
+    return _Buffers((), n, _layout(params)) if buffers is None else buffers
 
 
 class _MemberError(ValueError):
@@ -395,15 +365,15 @@ def _activate_grad(d_act, act, kind, tmp=None):
     return d_act
 
 
-def _trunk(params, h, acts=None, arrays=None):
+def _trunk(params, h, acts=None, buffers=None):
     """The trunk's output on the batch ``h``; with ``acts``, each of its
-    layers' outputs is appended to that list.  ``arrays`` (see
-    ``_step_arrays``) supplies buffers for the outputs."""
-    layers = [*params.encoder, params.head_hidden]
-    outs = [None] * len(layers) if arrays is None else arrays["acts"]
-    for layer, out in zip(layers, outs):
+    layers' outputs is appended to that list.  ``buffers`` (see
+    ``_step_buffers``) supplies arrays for the outputs."""
+    n = h.shape[-2]
+    for i, layer in enumerate([*params.encoder, params.head_hidden]):
+        out = None if buffers is None else buffers.view(f"act{i}", n)
         h = _affine(h, layer, out)  # unless acts keeps it, the input is freed here
-        tmp = None if arrays is None else arrays["a", h.shape[-1]]
+        tmp = None if buffers is None else buffers.view("a", n, h.shape[-1])
         _activate(h, layer.activation, tmp)
         if acts is not None:
             acts.append(h)
@@ -423,11 +393,12 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     """
     if not isinstance(params, _Stacked):
         x = as_matrix(x)
-    arrays = _step_arrays(params, x.shape[-2])
+    n = x.shape[-2]
+    buffers = _step_buffers(params, n)
     acts = []
-    h = _trunk(params, x, acts, arrays)
-    mu = _affine(h, params.head_mu, arrays["mu"])
-    log_var = _affine(h, params.head_log_var, arrays["log_var"])
+    h = _trunk(params, x, acts, buffers)
+    mu = _affine(h, params.head_mu, buffers.view("mu", n))
+    log_var = _affine(h, params.head_log_var, buffers.view("log_var", n))
     finite = np.isfinite(mu).all(axis=(-2, -1)) & np.isfinite(log_var).all(axis=(-2, -1))
     if not finite.all():
         raise _MemberError("matrix contains non-finite entries (NaN or Inf)",
@@ -435,7 +406,7 @@ def forward(params: ModelParams, x, noise=None) -> ForwardTrace:
     posterior = GaussianPosterior._of_heads(mu, log_var)
     eps = np.zeros_like(mu) if noise is None else np.asarray(noise, dtype=np.float64)
     z = reparameterize(posterior, eps)
-    logits = _affine(z, params.classifier, arrays["logits"])
+    logits = _affine(z, params.classifier, buffers.view("logits", n))
     return ForwardTrace(
         x=x,
         trunk_act=acts,
@@ -514,8 +485,9 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
         raise ValueError("backward got other labels or cfg than total_loss stored")
     stacked = trace.z.ndim == 3
     lambda2 = _per_member(cfg, "lambda2")[:, None, None] if stacked else cfg.lambda2
-    arrays = _step_arrays(params, trace.z.shape[-2])
-    layers, outs = params.layers(), arrays["grads"].layers()
+    n = trace.z.shape[-2]
+    buffers = _step_buffers(params, n)
+    layers, outs = params.layers(), buffers.grads.layers()
 
     def layer_grads(i, d_out, below):
         np.matmul(_swap(d_out), below, out=outs[i].weight)
@@ -523,15 +495,15 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
 
     d_logits = trace.d_logits
     layer_grads(-1, d_logits, trace.z)  # classifier
-    d_z = np.matmul(d_logits, params.classifier.weight, out=arrays["d_z"])
+    d_z = np.matmul(d_logits, params.classifier.weight, out=buffers.view("d_z", n))
     members = zip(d_z, cfg, trace.rank_sub) if stacked else [(d_z, cfg, trace.rank_sub)]
     for d_z_m, c, sub in members:
         if sub is not None:
             d_z_m += c.lambda1 * sub
 
-    d_mu = np.multiply(trace.kl_mu, lambda2, out=arrays["d_mu"])
+    d_mu = np.multiply(trace.kl_mu, lambda2, out=buffers.view("d_mu", n))
     d_mu += d_z
-    std = np.multiply(trace.posterior.log_var, 0.5, out=arrays["std"])
+    std = np.multiply(trace.posterior.log_var, 0.5, out=buffers.view("std", n))
     np.exp(std, out=std)
     d_lv = d_z  # d_z is spent; d_lv = d_z * noise * 0.5 * std, in its buffer
     d_lv *= trace.noise
@@ -550,18 +522,19 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
 
     this, other = "a", "b"  # d_act lives in one, the next layer's in the other
     width = top_act.shape[-1]
-    d_act = np.matmul(d_mu, params.head_mu.weight, out=arrays[this, width])
-    d_act += np.matmul(d_lv, params.head_log_var.weight, out=arrays[other, width])
+    d_act = np.matmul(d_mu, params.head_mu.weight, out=buffers.view(this, n, width))
+    d_act += np.matmul(d_lv, params.head_log_var.weight, out=buffers.view(other, n, width))
     del d_mu, d_lv, std  # the trunk's gradients need only d_act
     for i in reversed(range(len(layers) - 3)):
         layer = layers[i]
         d_pre = _activate_grad(d_act, trace.trunk_act[i], layer.activation,
-                               arrays[other, d_act.shape[-1]])
+                               buffers.view(other, n, d_act.shape[-1]))
         layer_grads(i, d_pre, trace.trunk_act[i - 1] if i > 0 else trace.x)
         if i:  # the gradient w.r.t. the input x is never read
-            d_act = np.matmul(d_pre, layer.weight, out=arrays[other, layer.weight.shape[-1]])
+            d_act = np.matmul(d_pre, layer.weight,
+                              out=buffers.view(other, n, layer.weight.shape[-1]))
             this, other = other, this
-    return arrays["grads"]
+    return buffers.grads
 
 
 @dataclass

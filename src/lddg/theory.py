@@ -327,9 +327,12 @@ def verify_risk_bound(
     vectors with the beta weights, and averages the cross-entropy.  The
     tolerance is three combined standard errors (lhs estimate plus the
     epsilon measurement scaled by M).  A standard error needs at least two
-    draws, so ``samples < 2`` raises ``ValueError``; so does a trial without
-    one weight per source posterior, or with a posterior that is not one
-    sample of the classifier's input width.
+    draws, so ``samples < 2`` raises ``ValueError``; so does a trial outside
+    the theorem's hypotheses: a classifier that does not score
+    ``num_classes`` classes, a posterior that is not one sample of the
+    classifier's input width, other than one weight per source posterior,
+    a negative weight, weights whose L1 norm exceeds ``norm_bound``, or a
+    label that is not one of the classes.
 
     The K sources' normals are one (K, samples, d) draw, the same stream as
     K draws in turn; their scores are one (K, samples, C) block, and the
@@ -341,8 +344,19 @@ def verify_risk_bound(
     if trial.epsilon is None or trial.classifier is None:
         raise ValueError("risk-bound trial must carry epsilon and a classifier")
     weight, bias = trial.classifier
+    c = trial.num_classes
+    if np.ndim(weight) != 2 or np.shape(weight)[0] != c or np.shape(bias) != (c,):
+        raise ValueError(f"classifier has weight {np.shape(weight)} and bias {np.shape(bias)}, "
+                         f"expected ({c}, d) and ({c},) for {c} classes")
     d = weight.shape[1]
     betas = _weights(trial, d)
+    if not (betas >= 0.0).all():
+        raise ValueError("combination weights must be non-negative")
+    if not betas.sum() <= trial.norm_bound:
+        raise ValueError(f"combination weights have L1 norm {float(betas.sum())}, "
+                         f"above norm_bound {trial.norm_bound}")
+    if not (isinstance(trial.label, (int, np.integer)) and 0 <= trial.label < c):
+        raise ValueError(f"label {trial.label!r} is not a class in [0, {c})")
     posts = trial.source_posteriors
     rng = np.random.default_rng([seed, 47, index])
     combined = _scratch_array("combined", (samples, trial.num_classes))

@@ -530,6 +530,14 @@ class TestGroups:
                    for cell, overrides in ABLATION_CELLS.items() for seed in (0, 1)}
         self._assert_each_as_alone(base, members, sources, target)
 
+    def test_trunk_layers_of_three_widths_match_lone_runs(self):
+        # the gradients' two alternating arrays are viewed at widths 8, 40 and 24
+        sources, target = generate_synthetic(SyntheticConfig())
+        base = TrainConfig(epochs=2, encoder_dims=(24, 40), head_hidden_dim=8, latent_dim=12)
+        members = {cell: replace(base, seed=i % 2, **overrides)
+                   for i, (cell, overrides) in enumerate(ABLATION_CELLS.items())}
+        self._assert_each_as_alone(base, members, sources, target)
+
     @pytest.mark.parametrize("shared_seed", [False, True])
     def test_two_ranks_at_600_rows_match_lone_runs(self, shared_seed):
         sources, target = generate_synthetic(FULL_BATCH_DATA)

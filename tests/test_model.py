@@ -2,6 +2,9 @@
 Adam, and checkpointing."""
 
 import copy
+import gc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from lddg.model import (
     TrainConfig,
     _activate,
     _activate_grad,
+    _member,
+    _stack,
     adam_step,
     backward,
     forward,
@@ -381,6 +386,72 @@ class TestAdam:
             state.vector[:n_w],
             np.concatenate([layer.weight.ravel() for layer in params.layers()]),
         )
+
+
+class TestStackedSteps:
+    """Members stacked by ``_stack`` step in the group's buffers, each as it
+    would alone; trunk widths 12 and 8 view the gradients' two alternating
+    arrays at both widths."""
+
+    CFGS = [replace(SMALL, encoder_dims=(12,)),
+            replace(SMALL, encoder_dims=(12,), lambda1=0.05, lambda2=0.0, regularizer="nuclear")]
+
+    def _group(self):
+        members = [init_params(6, 3, cfg, np.random.default_rng(seed))
+                   for seed, cfg in enumerate(self.CFGS)]
+        return members, _stack(members, 48)
+
+    @staticmethod
+    def _batch(rng, n):
+        return (rng.standard_normal((2, n, 6)), rng.standard_normal((2, n, 5)),
+                rng.integers(0, 3, (2, n)))
+
+    def test_steps_of_48_24_and_48_rows_match_lone_calls_in_one_set_of_buffers(self):
+        members, (params, state) = self._group()
+        lone = copy.deepcopy(members)
+        lone_states = [AdamState.for_params(p) for p in lone]
+        buffers, rng = params.buffers, np.random.default_rng(3)
+        for step, n in enumerate((48, 24, 48)):
+            x, noise, labels = self._batch(rng, n)
+            trace = forward(params, x, noise)
+            assert np.shares_memory(trace.logits, buffers["logits"])
+            value, parts = total_loss(trace, labels, self.CFGS)
+            grads = backward(params, trace, labels, self.CFGS)
+            for m, (cfg, y) in enumerate(zip(self.CFGS, labels)):
+                alone = forward(lone[m], x[m], noise[m])
+                alone_value, alone_parts = total_loss(alone, y, cfg)
+                alone_grads = backward(lone[m], alone, y, cfg)
+                assert trace.logits[m].tobytes() == alone.logits.tobytes()
+                assert (value[m], parts["cls"][m], parts["kl"][m]) == (
+                    alone_value, alone_parts["cls"], alone_parts["kl"])
+                assert [a.tobytes() for a in _member(grads, m).flat()] == [
+                    a.tobytes() for a in alone_grads.flat()]
+                adam_step(lone[m], alone_grads, lone_states[m], 1e-2, cfg.weight_decay)
+            adam_step(params, grads, state, 1e-2, SMALL.weight_decay)
+            for m in range(2):
+                assert [a.tobytes() for a in _member(params, m).flat()] == [
+                    a.tobytes() for a in lone[m].flat()]
+            arrays = {**buffers, "grads": buffers.grads.vector, "scratch": buffers.scratch}
+            if step == 0:
+                first = arrays
+        assert arrays.keys() == first.keys()
+        assert all(arrays[name] is first[name] for name in first)
+
+    def test_a_group_s_buffers_are_freed_by_reference_counting(self):
+        _, (params, state) = self._group()
+        x, noise, labels = self._batch(np.random.default_rng(0), 48)
+        gc.disable()
+        try:
+            buffers = weakref.ref(params.buffers)
+            trace = forward(params, x, noise)
+            total_loss(trace, labels, self.CFGS)
+            grads = backward(params, trace, labels, self.CFGS)
+            adam_step(params, grads, state, 1e-2)
+            assert buffers() is not None
+            del params, state, trace, grads
+            assert buffers() is None
+        finally:
+            gc.enable()
 
 
 class TestCheckpoint:

@@ -212,6 +212,38 @@ class TestRiskBound:
         with pytest.raises(ValueError, match=r"betas of shape \(4,\) for 3 source posteriors"):
             verify_risk_bound(trial, samples=100)
 
+    @pytest.mark.parametrize("label", [-1, 3, 7, 1.0, None])
+    def test_label_is_one_of_the_classes(self, label):
+        # label -1 used to score the last class, and label 3 of 3 to raise IndexError
+        trial = make_risk_bound_trial(seed=5, num_classes=3)
+        trial.label = label
+        with pytest.raises(ValueError, match=r"^label .* is not a class in \[0, 3\)$"):
+            verify_risk_bound(trial, samples=100)
+
+    @pytest.mark.parametrize("other", [(2, 3), (4, 3), (3, 2), (3, 4), ("1-D", 3)])
+    def test_classifier_scores_the_trial_s_classes(self, other):
+        # a classifier for other classes used to fail in numpy's matmul or reshape
+        trial = make_risk_bound_trial(seed=5, num_classes=3)
+        rows, biases = other
+        weight = np.ones(6) if rows == "1-D" else np.ones((rows, 6))
+        trial.classifier = (weight, np.zeros(biases))
+        with pytest.raises(ValueError, match=r"expected \(3, d\) and \(3,\) for 3 classes$"):
+            verify_risk_bound(trial, samples=100)
+
+    @pytest.mark.parametrize("sign", [-1.0, np.nan])
+    def test_weights_are_non_negative(self, sign):
+        trial = make_risk_bound_trial(seed=5, num_classes=3)
+        trial.betas = trial.betas * [1.0, sign, 1.0]
+        with pytest.raises(ValueError, match="^combination weights must be non-negative$"):
+            verify_risk_bound(trial, samples=100)
+
+    @pytest.mark.parametrize("scale", [0.5, np.nextafter(1.0, 0.0), np.nan])
+    def test_weights_are_within_the_norm_bound(self, scale):
+        trial = make_risk_bound_trial(seed=5, num_classes=3)
+        trial.norm_bound *= scale
+        with pytest.raises(ValueError, match=r"^combination weights have L1 norm .* above norm_bound"):
+            verify_risk_bound(trial, samples=100)
+
     def test_posteriors_are_one_sample_of_the_classifier_s_width(self):
         trial = make_risk_bound_trial(seed=5, num_classes=3)
         trial.source_posteriors[0] = _posterior(*([0.0] * 5))
