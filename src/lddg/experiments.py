@@ -106,8 +106,8 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     raises ``RuntimeError`` naming the epoch and batch, rather than letting
     Adam ride a NaN.  Each step's arrays, its batch and noise among them,
     are written into buffers allocated once per call.  The returned params
-    are views of the run's Adam vector.  Nothing is scored.  Sources with
-    no records raise ``ValueError``.
+    are views of the group's parameter vector.  Nothing is scored.  Sources
+    with no records, or an empty ``members``, raise ``ValueError``.
 
     ``members`` maps a label to each config of a group that trains
     together; each differs from ``cfg`` in at most lambda1, lambda2,
@@ -124,6 +124,8 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     if len(sources) == 0:
         raise ValueError("sources have no records to train on")
     group = {None: cfg} if members is None else dict(members)
+    if not group:
+        raise ValueError("members is empty: a group needs at least one config to train")
     for label, member in group.items():
         if replace(member, **{k: getattr(cfg, k) for k in _PER_MEMBER}) != cfg:
             raise ValueError(f"member {label} differs from the group's config in more "
@@ -137,7 +139,7 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     rows = _batch_rows(sources, cfg.batch_per_domain)
     inits = [init_params(sources.feature_dim, sources.num_classes, cfg,
                          np.random.default_rng([seed, _STREAM_INIT])) for seed in seeds]
-    params, state = _stack([inits[s] for s in seed_of], rows)
+    params = _stack([inits[s] for s in seed_of], rows)
     rng_noise = [np.random.default_rng([seed, _STREAM_NOISE]) for seed in seeds]
     rank_c = [c.rank_target or sources.num_classes for c in cfgs]
     warn_inert = [c.regularizer == "rank" and c.lambda1 > 0 for c in cfgs]
@@ -181,7 +183,7 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
                     )
                     warn_inert[m] = False
             grads = backward(params, trace, y, cfgs)
-            adam_step(params, grads, state, lr, cfg.weight_decay)
+            adam_step(params, grads, lr, cfg.weight_decay)
             for key, acc in sums.items():
                 acc += parts[key]
         means = {key: acc / len(batches[0]) for key, acc in sums.items()}

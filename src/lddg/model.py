@@ -36,7 +36,6 @@ __all__ = [
     "forward",
     "total_loss",
     "backward",
-    "AdamState",
     "adam_step",
     "save_checkpoint",
     "load_checkpoint",
@@ -282,27 +281,31 @@ class _Buffers(dict):
 
 @dataclass
 class _Stacked(ModelParams):
-    """The parameters of members stacked on a leading axis: each layer's
-    weight is (members, out, in) and its bias (members, out), views of the
-    rows of ``vector``, laid out as ``_flat_vector`` lays out one model.
-    ``forward``, ``backward`` and ``adam_step`` write one step's arrays into
-    ``buffers``, so a trace or gradients of these params hold until the
-    next such call.  ``backward`` returns gradients of this type, whose
-    ``vector`` ``adam_step`` consumes."""
+    """A group of members stacked on a leading axis, and everything it owns:
+    each layer's weight is (members, out, in) and its bias (members, out),
+    views of the rows of ``vector``, laid out as ``_flat_vector`` lays out
+    one model; ``m`` and ``v`` are Adam's moments in that layout and ``t``
+    its step count.  ``forward``, ``backward`` and ``adam_step`` write one
+    step's arrays into ``buffers``, so a trace or gradients of these params
+    hold until the next such call.  ``backward`` returns gradients of this
+    type (without moments), whose ``vector`` ``adam_step`` consumes."""
 
     vector: np.ndarray | None = None
     buffers: _Buffers | None = None
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    t: int = 0
 
 
 def _stack(members, rows):
     """``_Stacked`` copies of ``members`` (ModelParams of one architecture;
-    one object may stand for several members) with buffers for batches of
-    up to ``rows`` rows, and the AdamState of their vector."""
+    one object may stand for several members) with zero moments and buffers
+    for batches of up to ``rows`` rows."""
     layout = _layout(members[0])
     vector = np.stack([_flat_vector(p) for p in members])
-    params = _unflatten(vector, layout, _Stacked, vector=vector,
-                        buffers=_Buffers((len(members),), rows, layout))
-    return params, AdamState._over(vector, params)
+    return _unflatten(vector, layout, _Stacked, vector=vector,
+                      buffers=_Buffers((len(members),), rows, layout),
+                      m=np.zeros_like(vector), v=np.zeros_like(vector))
 
 
 def _member(params, m):
@@ -537,75 +540,25 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
     return buffers.grads
 
 
-@dataclass
-class AdamState:
-    """Adam's moments and step count over one flat parameter vector.
-
-    ``for_params`` copies every weight matrix and then every bias into
-    ``vector`` and rebinds each layer's ``weight`` and ``bias`` to views of
-    it, so an update is a few whole-vector operations that the layers see
-    without a copy.  ``m`` and ``v`` share the layout; the first
-    ``n_weights`` entries are the weights.  ``views`` holds the arrays in
-    ``ModelParams.flat`` order, to tell that ``adam_step`` got these params.
-    For ``_Stacked`` params ``vector`` has one row per member.
-    """
-
-    vector: np.ndarray
-    n_weights: int
-    views: list
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "AdamState":
-        """State for ``params``, whose arrays become views of its vector."""
-        vector = _flat_vector(params)
-        for layer, view in zip(params.layers(), _unflatten(vector, _layout(params)).layers()):
-            layer.weight, layer.bias = view.weight, view.bias
-        return cls._over(vector, params)
-
-    @classmethod
-    def _over(cls, vector, params):
-        """Zero moments over ``vector``, of which ``params``' arrays are views."""
-        n_weights = sum(o * i for _, o, i in _layout(params))
-        return cls(vector, n_weights, params.flat(), np.zeros_like(vector), np.zeros_like(vector))
-
-
-def adam_step(
-    params: ModelParams,
-    grads: ModelParams,
-    state: AdamState,
-    lr: float,
-    weight_decay: float = 0.0,
-):
-    """One Adam update in place, with decoupled weight decay.
+def adam_step(params: ModelParams, grads: ModelParams, lr: float, weight_decay: float = 0.0):
+    """One Adam update of every member of a ``_Stacked`` group in place,
+    with decoupled weight decay; other params raise ``ValueError``.
 
     The moment decays are 0.9 and 0.999 and the denominator's epsilon is
-    1e-8, Adam's usual values.
+    1e-8, Adam's usual values.  The group's own ``m``, ``v`` and ``t``
+    carry the state from step to step, its buffers take the temporaries,
+    and the ``_Stacked`` gradients ``backward`` returned are consumed.
 
     Weight decay multiplies weight matrices by ``(1 - lr * weight_decay)``
-    outside the moment accumulators; biases are never decayed.  ``params``
-    must be the ModelParams ``state`` was built for: arrays not backed by
-    its vector raise ``ValueError`` rather than miss the update.  For
-    ``_Stacked`` params every member is updated, in the params' buffers,
-    and ``_Stacked`` gradients are consumed.
+    outside the moment accumulators; biases are never decayed.
     """
-    flat = params.flat()
-    if len(flat) != len(state.views) or any(
-        a is not b for a, b in zip(flat, state.views)
-    ):
-        raise ValueError(
-            "adam_step: params are not backed by this AdamState's vector; "
-            "build the state with AdamState.for_params(params)"
-        )
-    # one model's gradients are copied: the caller may still read them
-    g = grads.vector if isinstance(grads, _Stacked) else _flat_vector(grads)
-    scratch = params.buffers.scratch if isinstance(params, _Stacked) else None
+    if not isinstance(params, _Stacked):
+        raise ValueError("adam_step updates a stacked group; got params of one model")
+    g, scratch = grads.vector, params.buffers.scratch
     beta1, beta2 = _ADAM_BETA1, _ADAM_BETA2
-    state.t += 1
-    t = state.t
-    m, v, p = state.m, state.v, state.vector
+    params.t += 1
+    t = params.t
+    m, v, p = params.m, params.v, params.vector
     m *= beta1
     m += np.multiply(g, 1.0 - beta1, out=scratch)
     v *= beta2
@@ -615,7 +568,8 @@ def adam_step(
     m_hat = np.divide(m, 1.0 - beta1**t, out=scratch)
     v_hat = np.divide(v, 1.0 - beta2**t, out=g)
     if weight_decay:
-        p[..., : state.n_weights] *= 1.0 - lr * weight_decay
+        n_weights = sum(out * in_dim for _, out, in_dim in params.buffers.layout)
+        p[..., :n_weights] *= 1.0 - lr * weight_decay
     # p -= lr * m_hat / (sqrt(v_hat) + eps), in place, in that order
     np.sqrt(v_hat, out=v_hat)
     v_hat += _ADAM_EPS

@@ -161,7 +161,7 @@ def verify_mixture_kl_bound(trial: TheoremTrial) -> BoundReport:
     as a per-component loop would: the result is that loop's, bit for bit.
     """
     betas = _weights(trial, 1)
-    if (betas < 0.0).any():
+    if not (betas >= 0.0).all():  # a NaN weight fails this too
         raise ValueError("mixture weights must be non-negative")
     if abs(float(betas.sum()) - 1.0) > 1e-9:
         raise ValueError("mixture weights must sum to 1 for the KL bound")

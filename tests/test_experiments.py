@@ -573,6 +573,12 @@ class TestGroups:
         with pytest.raises(ValueError, match="member b differs"):
             train(TINY_TRAIN, sources, {"a": TINY_TRAIN, "b": replace(TINY_TRAIN, epochs=2)})
 
+    def test_an_empty_group_is_rejected(self, tiny):
+        # it used to end in a bare IndexError when the group was stacked
+        sources, _ = tiny
+        with pytest.raises(ValueError, match="members is empty"):
+            train(TINY_TRAIN, sources, {})
+
     def test_a_diverging_cell_is_named(self, tiny):
         # the nuclear norm of the first batch, times lambda1, overflows the loss
         sources, target = tiny

@@ -13,12 +13,12 @@ from lddg.linalg import finite_diff_grad
 from lddg.losses import batch_mean
 from lddg.model import (
     _LEAKY_SLOPE,
-    AdamState,
     Layer,
     ModelParams,
     TrainConfig,
     _activate,
     _activate_grad,
+    _flat_vector,
     _member,
     _stack,
     adam_step,
@@ -288,110 +288,96 @@ class TestAdam:
     def test_first_step_oracle(self):
         # With bias correction at t=1, m_hat = g and v_hat = g^2, so the step
         # is -lr * g / (|g| + eps) after the decoupled decay on weights.
-        params = ModelParams(
+        lone = ModelParams(
             encoder=[Layer(np.array([[2.0, -1.0]]), np.array([0.5]), "leaky_relu")],
             head_hidden=Layer(np.eye(1), np.zeros(1), "relu"),
             head_mu=Layer(np.eye(1), np.zeros(1)),
             head_log_var=Layer(np.eye(1), np.zeros(1)),
             classifier=Layer(np.eye(1), np.zeros(1)),
         )
-        grads = copy.deepcopy(params)
-        for arr in grads.flat():
-            arr[...] = 1.0
+        params = _stack([lone], 1)
+        grads = params.buffers.grads
+        grads.vector[...] = 1.0
         expected = []
         lr, wd, eps = 0.01, 0.1, 1e-8
-        for arr in params.flat():
+        for arr in lone.flat():
             decayed = arr * (1.0 - lr * wd) if arr.ndim == 2 else arr.copy()
             expected.append(decayed - lr * 1.0 / (1.0 + eps))
-        state = AdamState.for_params(params)
-        adam_step(params, grads, state, lr=lr, weight_decay=wd)
-        for arr, want in zip(params.flat(), expected):
+        adam_step(params, grads, lr=lr, weight_decay=wd)
+        for arr, want in zip(_member(params, 0).flat(), expected):
             np.testing.assert_allclose(arr, want, atol=1e-12)
-        assert state.t == 1
+        assert params.t == 1
 
     def test_matches_reference_implementation_over_steps(self):
+        # two members, each with gradients of its own; only weights decay
         rng = np.random.default_rng(6)
-        params, x, labels, noise = small_setup(seed=7)
-        reference = [a.copy() for a in params.flat()]
-        m = [np.zeros_like(a) for a in reference]
-        v = [np.zeros_like(a) for a in reference]
-        state = AdamState.for_params(params)
+        members = [small_setup(seed=seed)[0] for seed in (7, 8)]
+        params = _stack(members, 7)
+        reference = [[a.copy() for a in p.flat()] for p in members]
+        m = [[np.zeros_like(a) for a in ref] for ref in reference]
+        v = [[np.zeros_like(a) for a in ref] for ref in reference]
         lr, wd, b1, b2, eps = 3e-3, 0.01, 0.9, 0.999, 1e-8
         for t in range(1, 4):
-            gs = [rng.standard_normal(a.shape) for a in reference]
-            grads = copy.deepcopy(params)
-            for arr, g in zip(grads.flat(), gs):
-                arr[...] = g
-            adam_step(params, grads, state, lr=lr, weight_decay=wd)
-            for i, g in enumerate(gs):
-                m[i] = b1 * m[i] + (1 - b1) * g
-                v[i] = b2 * v[i] + (1 - b2) * g * g
-                if reference[i].ndim == 2:
-                    reference[i] *= 1.0 - lr * wd
-                reference[i] -= (
-                    lr * (m[i] / (1 - b1**t)) / (np.sqrt(v[i] / (1 - b2**t)) + eps)
-                )
-            for arr, want in zip(params.flat(), reference):
-                np.testing.assert_allclose(arr, want, atol=1e-12)
+            gs = [[rng.standard_normal(a.shape) for a in ref] for ref in reference]
+            grads = params.buffers.grads
+            for k, arrays in enumerate(gs):
+                for arr, g in zip(_member(grads, k).flat(), arrays):
+                    arr[...] = g
+            adam_step(params, grads, lr=lr, weight_decay=wd)
+            for k, ref in enumerate(reference):
+                for i, g in enumerate(gs[k]):
+                    m[k][i] = b1 * m[k][i] + (1 - b1) * g
+                    v[k][i] = b2 * v[k][i] + (1 - b2) * g * g
+                    if ref[i].ndim == 2:
+                        ref[i] *= 1.0 - lr * wd
+                    ref[i] -= lr * (m[k][i] / (1 - b1**t)) / (np.sqrt(v[k][i] / (1 - b2**t)) + eps)
+                for arr, want in zip(_member(params, k).flat(), ref):
+                    np.testing.assert_allclose(arr, want, atol=1e-12)
+        assert params.t == 3
 
     def test_biases_never_decayed(self):
-        params, _, _, _ = small_setup()
-        params.head_mu.bias[:] = 1.0
-        before_w = params.head_mu.weight.copy()
-        grads = copy.deepcopy(params)
-        for arr in grads.flat():
-            arr[...] = 0.0
-        state = AdamState.for_params(params)
-        adam_step(params, grads, state, lr=0.1, weight_decay=0.5)
+        lone, _, _, _ = small_setup()
+        lone.head_mu.bias[:] = 1.0
+        params = _stack([lone], 7)
+        grads = params.buffers.grads
+        grads.vector[...] = 0.0
+        adam_step(params, grads, lr=0.1, weight_decay=0.5)
         np.testing.assert_array_equal(params.head_mu.bias, 1.0)
         np.testing.assert_allclose(
-            params.head_mu.weight, before_w * (1.0 - 0.1 * 0.5), atol=1e-15
+            params.head_mu.weight[0], lone.head_mu.weight * (1.0 - 0.1 * 0.5), atol=1e-15
         )
 
-
-    def test_update_leaves_backwards_gradients_unchanged(self):
-        # one model's gradients live in a vector of their own, which the
-        # update must copy rather than consume
-        params, x, labels, noise = small_setup()
-        state = AdamState.for_params(params)
-        trace = forward(params, x, noise)
-        total_loss(trace, labels, SMALL)
-        grads = backward(params, trace, labels, SMALL)
-        before = [a.tobytes() for a in grads.flat()]
-        adam_step(params, grads, state, lr=0.1, weight_decay=0.5)
-        assert [a.tobytes() for a in grads.flat()] == before
-        assert state.t == 1
-
-    def test_params_not_backed_by_the_state_are_rejected(self):
-        params, _, _, _ = small_setup()
-        state = AdamState.for_params(params)
-        grads = copy.deepcopy(params)
-        with pytest.raises(ValueError, match="not backed"):
-            adam_step(copy.deepcopy(params), grads, state, lr=0.1)
-        params.classifier.bias = params.classifier.bias.copy()
-        with pytest.raises(ValueError, match="not backed"):
-            adam_step(params, grads, state, lr=0.1)
-        assert state.t == 0
-
-    def test_layers_are_views_of_one_vector(self):
+    def test_lone_params_are_rejected(self):
         params, _, _, _ = small_setup()
         before = [a.copy() for a in params.flat()]
-        state = AdamState.for_params(params)
-        for a, want in zip(params.flat(), before):
-            assert a.base is state.vector
-            np.testing.assert_array_equal(a, want)
-        n_w = sum(layer.weight.size for layer in params.layers())
-        assert state.n_weights == n_w
+        with pytest.raises(ValueError, match="stacked group"):
+            adam_step(params, copy.deepcopy(params), lr=0.1)
+        for arr, want in zip(params.flat(), before):
+            np.testing.assert_array_equal(arr, want)
+
+    def test_layers_are_views_of_one_vector(self):
+        members = [small_setup(seed=seed)[0] for seed in (0, 1)]
+        params = _stack(members, 7)
+        for a in params.flat():
+            assert a.base is params.vector
+        for k, member in enumerate(members):
+            for a, want in zip(_member(params, k).flat(), member.flat()):
+                np.testing.assert_array_equal(a, want)
+        n_w = sum(layer.weight[0].size for layer in params.layers())
         np.testing.assert_array_equal(
-            state.vector[:n_w],
-            np.concatenate([layer.weight.ravel() for layer in params.layers()]),
+            params.vector[:, :n_w],
+            [np.concatenate([layer.weight.ravel() for layer in p.layers()]) for p in members],
         )
+        for moment in (params.m, params.v):
+            assert moment.shape == params.vector.shape
+            assert not moment.any()
+        assert params.t == 0
 
 
 class TestStackedSteps:
     """Members stacked by ``_stack`` step in the group's buffers, each as it
-    would alone; trunk widths 12 and 8 view the gradients' two alternating
-    arrays at both widths."""
+    would alone (its update as in a group of one); trunk widths 12 and 8
+    view the gradients' two alternating arrays at both widths."""
 
     CFGS = [replace(SMALL, encoder_dims=(12,)),
             replace(SMALL, encoder_dims=(12,), lambda1=0.05, lambda2=0.0, regularizer="nuclear")]
@@ -407,9 +393,8 @@ class TestStackedSteps:
                 rng.integers(0, 3, (2, n)))
 
     def test_steps_of_48_24_and_48_rows_match_lone_calls_in_one_set_of_buffers(self):
-        members, (params, state) = self._group()
-        lone = copy.deepcopy(members)
-        lone_states = [AdamState.for_params(p) for p in lone]
+        members, params = self._group()
+        lone = [_stack([p], 48) for p in members]
         buffers, rng = params.buffers, np.random.default_rng(3)
         for step, n in enumerate((48, 24, 48)):
             x, noise, labels = self._batch(rng, n)
@@ -418,19 +403,21 @@ class TestStackedSteps:
             value, parts = total_loss(trace, labels, self.CFGS)
             grads = backward(params, trace, labels, self.CFGS)
             for m, (cfg, y) in enumerate(zip(self.CFGS, labels)):
-                alone = forward(lone[m], x[m], noise[m])
+                one = _member(lone[m], 0)
+                alone = forward(one, x[m], noise[m])
                 alone_value, alone_parts = total_loss(alone, y, cfg)
-                alone_grads = backward(lone[m], alone, y, cfg)
+                alone_grads = backward(one, alone, y, cfg)
                 assert trace.logits[m].tobytes() == alone.logits.tobytes()
                 assert (value[m], parts["cls"][m], parts["kl"][m]) == (
                     alone_value, alone_parts["cls"], alone_parts["kl"])
                 assert [a.tobytes() for a in _member(grads, m).flat()] == [
                     a.tobytes() for a in alone_grads.flat()]
-                adam_step(lone[m], alone_grads, lone_states[m], 1e-2, cfg.weight_decay)
-            adam_step(params, grads, state, 1e-2, SMALL.weight_decay)
+                group_grads = lone[m].buffers.grads
+                group_grads.vector[0] = _flat_vector(alone_grads)
+                adam_step(lone[m], group_grads, 1e-2, cfg.weight_decay)
+            adam_step(params, grads, 1e-2, SMALL.weight_decay)
             for m in range(2):
-                assert [a.tobytes() for a in _member(params, m).flat()] == [
-                    a.tobytes() for a in lone[m].flat()]
+                assert params.vector[m].tobytes() == lone[m].vector[0].tobytes()
             arrays = {**buffers, "grads": buffers.grads.vector, "scratch": buffers.scratch}
             if step == 0:
                 first = arrays
@@ -438,7 +425,7 @@ class TestStackedSteps:
         assert all(arrays[name] is first[name] for name in first)
 
     def test_a_group_s_buffers_are_freed_by_reference_counting(self):
-        _, (params, state) = self._group()
+        _, params = self._group()
         x, noise, labels = self._batch(np.random.default_rng(0), 48)
         gc.disable()
         try:
@@ -446,9 +433,9 @@ class TestStackedSteps:
             trace = forward(params, x, noise)
             total_loss(trace, labels, self.CFGS)
             grads = backward(params, trace, labels, self.CFGS)
-            adam_step(params, grads, state, 1e-2)
+            adam_step(params, grads, 1e-2)
             assert buffers() is not None
-            del params, state, trace, grads
+            del params, trace, grads
             assert buffers() is None
         finally:
             gc.enable()

@@ -136,6 +136,10 @@ class TestMixtureKlBound:
         trial.betas = np.array([-0.5, 1.0, 0.5])
         with pytest.raises(ValueError):
             verify_mixture_kl_bound(trial)
+        # a NaN weight used to give a report with a NaN rhs
+        trial.betas = np.array([np.nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match="non-negative"):
+            verify_mixture_kl_bound(trial)
 
     def test_one_weight_per_posterior(self):
         # one weight for three posteriors used to check a one-component mixture
