@@ -40,6 +40,7 @@ from .experiments import (
 )
 from .model import TrainConfig, load_checkpoint, save_checkpoint
 from .theory import (
+    _free_scratch,
     make_mixture_kl_trial,
     make_risk_bound_trial,
     verify_mixture_kl_bound,
@@ -208,22 +209,25 @@ def cmd_verify(args) -> int:
     records = []
     failures = 0
     classes = _parse_int_list(args.classes, "classes", "--classes") if args.theorem == 2 else []
-    for i in range(args.trials):
-        try:
-            if args.theorem == 1:
-                trial = make_mixture_kl_trial(args.seed, i)
-                rep = verify_mixture_kl_bound(trial)
-            else:
-                c = classes[i % len(classes)]
-                trial = make_risk_bound_trial(args.seed, c, index=i)
-                rep = verify_risk_bound(trial, samples=args.samples, seed=args.seed, index=i)
-        except RuntimeError as exc:
-            records.append({"trial": i, "satisfied": False, "error": str(exc)})
-            failures += 1
-            continue
-        records.append({"trial": i, **vars(rep)})
-        if not rep.satisfied:
-            failures += 1
+    try:
+        for i in range(args.trials):
+            try:
+                if args.theorem == 1:
+                    trial = make_mixture_kl_trial(args.seed, i)
+                    rep = verify_mixture_kl_bound(trial)
+                else:
+                    c = classes[i % len(classes)]
+                    trial = make_risk_bound_trial(args.seed, c, index=i)
+                    rep = verify_risk_bound(trial, samples=args.samples, seed=args.seed, index=i)
+            except RuntimeError as exc:
+                records.append({"trial": i, "satisfied": False, "error": str(exc)})
+                failures += 1
+                continue
+            records.append({"trial": i, **vars(rep)})
+            if not rep.satisfied:
+                failures += 1
+    finally:
+        _free_scratch()  # theorem 2's buffers, sized by the largest trial run
     with _output(args.report) as fh:
         fh.write("".join(json.dumps(r) + "\n" for r in records))
     print(

@@ -7,8 +7,13 @@ pins the entire metrics trajectory bit-for-bit.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import logging
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -286,12 +291,13 @@ ABLATION_CELLS = {
 def _study(base_cfg, sources, target, members, seeds, row):
     """The one loop of both studies: train ``replace(base_cfg, seed=seed,
     **overrides)`` for each ``(key, overrides)`` member, then each seed, and
-    score each once on the target.  Members train in that order in groups
-    (see ``train``) of as many as fit ``_GROUP_ROWS`` latent rows per step.
-    Returns ``row(key, accuracies, mean, std)`` per member (population
-    std).  An empty or repeated list of member keys or of seeds raises
-    ``ValueError``; so does any config, as every one is built before the
-    first member trains."""
+    score each once on the target.  Members form groups in that order (see
+    ``train``) of as many as fit ``_GROUP_ROWS`` latent rows per step, and
+    the groups train on up to two threads (see ``_train_groups``); every
+    member is scored after all have trained.  Returns ``row(key,
+    accuracies, mean, std)`` per member (population std).  An empty or
+    repeated list of member keys or of seeds raises ``ValueError``; so does
+    any config, as every one is built before the first member trains."""
     seeds = list(seeds)
     name = fields(row)[0].name
     for what, values in ((name, [key for key, _ in members]), ("seed", seeds)):
@@ -302,15 +308,67 @@ def _study(base_cfg, sources, target, members, seeds, row):
     labelled = [(f"{name} {key}, seed {seed}", replace(base_cfg, seed=seed, **overrides))
                 for key, overrides in members for seed in seeds]
     size = max(1, _GROUP_ROWS // max(1, _batch_rows(sources, base_cfg.batch_per_domain)))
-    accs = []
-    for start in range(0, len(labelled), size):
-        for params, _ in train(base_cfg, sources, dict(labelled[start : start + size])):
-            accs.append(evaluate(params, target).accuracy)
+    groups = [dict(labelled[start : start + size]) for start in range(0, len(labelled), size)]
+    accs = [evaluate(params, target).accuracy
+            for group in _train_groups(base_cfg, sources, groups) for params, _ in group]
     rows = []
     for i, (key, _) in enumerate(members):
         own = accs[i * len(seeds) : (i + 1) * len(seeds)]
         rows.append(row(key, own, float(np.mean(own)), float(np.std(own))))
     return rows
+
+
+def _train_groups(cfg, sources, groups):
+    """``train(cfg, sources, group)`` for each group, in order.
+
+    With more than one group and CPU, the calling thread trains the groups
+    at even positions and one worker thread those at odd positions, each in
+    a copy of the caller's context (``np.errstate`` is context-local).
+    numpy's OpenBLAS is pinned to one thread meanwhile, process-wide, so
+    that the two threads do not oversubscribe the cores; its previous count
+    is restored when both are done, also after an error.  Results are read
+    in group order, so the error raised is the first in group order, as one
+    thread would raise it; groups not yet begun are then not trained.  When
+    this numpy exports no OpenBLAS thread count, the calling thread trains
+    every group.
+    """
+    run = functools.partial(train, cfg, sources)
+    blas = _openblas() if len(groups) > 1 and _cpus() > 1 else None
+    if blas is None:
+        return [run(group) for group in groups]
+    get, put = blas
+    pool = ThreadPoolExecutor(1)
+    before = get()
+    put(1)
+    try:
+        later = {i: pool.submit(contextvars.copy_context().run, run, group)
+                 for i, group in enumerate(groups) if i % 2}
+        return [later[i].result() if i in later else run(group)
+                for i, group in enumerate(groups)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        put(before)
+
+
+def _openblas():
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or
+    None when this numpy build exports neither."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def ablate_components(
@@ -330,6 +388,11 @@ def ablate_components(
     cell, an empty or repeated list of cells or seeds, a negative seed or a
     target the model could not score raises ``ValueError`` before any
     training.
+
+    When the members form more than one training group, the groups train
+    on two threads, and numpy's bundled OpenBLAS is pinned to one thread
+    for the whole process until they are done; the previous count is then
+    restored.  The rows are the same either way.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     wanted = list(ABLATION_CELLS) if cells is None else list(cells)
@@ -355,6 +418,11 @@ def sweep_rank(
     misuse, like an empty rank or seed list, a repeated seed, a negative
     seed or a target the model could not score, raises ``ValueError``
     before any training.
+
+    When the members form more than one training group, the groups train
+    on two threads, and numpy's bundled OpenBLAS is pinned to one thread
+    for the whole process until they are done; the previous count is then
+    restored.  The rows are the same either way.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     ranks = list(ranks)

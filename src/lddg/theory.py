@@ -216,7 +216,8 @@ _LONG_ROW = 100  # a short row is tiled over up to this many rows, see _apply_ro
 
 # The latent block, the score block and the combined scores of a risk-bound
 # trial, one flat float64 buffer each per thread, shared by both functions
-# below and grown to the largest size asked for; a result never holds them.
+# below and grown to the largest size asked for until ``_free_scratch``; a
+# result never holds them.
 _scratch = threading.local()
 
 
@@ -231,6 +232,11 @@ def _scratch_array(name: str, shape: tuple) -> np.ndarray:
         buf = np.empty(shape).reshape(-1)
         setattr(_scratch, name, buf)
     return buf[:size].reshape(shape)
+
+
+def _free_scratch() -> None:
+    """Drop this thread's buffers; the next risk-bound trial allocates its own."""
+    vars(_scratch).clear()
 
 
 def _apply_rows(op, a: np.ndarray, rows) -> None:

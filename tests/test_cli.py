@@ -490,6 +490,10 @@ class TestVerify:
         assert all(r["satisfied"] for r in records)
         assert all(r["lhs"] <= r["rhs"] + r["tolerance"] for r in records)
 
+    def test_theorem_2_keeps_no_scratch_buffers(self, capsys):
+        assert main(["verify", "--theorem", "2", "--trials", "2", "--classes", "7"]) == 0
+        assert not vars(lddg.theory._scratch)
+
     def test_removed_all_prior_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--theorem", "1", "--trials", "5", "--all-prior"])

@@ -1,6 +1,8 @@
 """Tests for the training harness, evaluation, and the study harnesses."""
 
 import logging
+import sys
+import threading
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -556,17 +558,13 @@ class TestGroups:
 
     def test_600_row_studies_train_two_members_a_step(self, monkeypatch):
         sources, target = generate_synthetic(FULL_BATCH_DATA)
-        sizes = []
-        original = lddg.experiments.train
-
-        def recording(cfg, data, members=None):
-            sizes.append(len(members))
-            return original(cfg, data, members)
-
-        monkeypatch.setattr(lddg.experiments, "train", recording)
+        calls = _record_groups(monkeypatch)
         sweep_rank(replace(FULL_BATCH_TRAIN, epochs=1), sources, target,
                    ranks=(1, 2, 3), seeds=(0, 1, 2))
-        assert sizes == [2, 2, 2, 2, 1]
+        labels = [f"rank {r}, seed {s}" for r in (1, 2, 3) for s in (0, 1, 2)]
+        # the groups may train on two threads, so the calls may come in either order
+        groups = sorted((members for members, _, _ in calls), key=lambda g: labels.index(g[0]))
+        assert groups == [labels[0:2], labels[2:4], labels[4:6], labels[6:8], labels[8:]]
 
     def test_members_may_differ_only_in_their_own_fields(self, tiny):
         sources, _ = tiny
@@ -620,3 +618,90 @@ class TestGroups:
         ):
             sweep_rank(replace(TINY_TRAIN, learning_rate=1e200), sources, target,
                        ranks=(3, 2), seeds=(4,))
+
+
+def _record_groups(monkeypatch):
+    """Per ``train`` call from now on: its member labels, the thread it ran
+    on and the OpenBLAS thread count it ran under (None without one)."""
+    calls = []
+    original = lddg.experiments.train
+    blas = lddg.experiments._openblas()
+
+    def recording(cfg, data, members=None):
+        calls.append((list(members), threading.current_thread(), blas and blas[0]()))
+        return original(cfg, data, members)
+
+    monkeypatch.setattr(lddg.experiments, "train", recording)
+    return calls
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A study of several groups uses its worker thread, on any host."""
+    if lddg.experiments._openblas() is None:
+        pytest.skip("this numpy build exports no OpenBLAS thread count")
+    monkeypatch.setattr(lddg.experiments, "_cpus", lambda: 2)
+
+
+def _one_thread(monkeypatch):
+    """Studies from now on train every group on the calling thread, as
+    without the OpenBLAS symbol."""
+    monkeypatch.setattr(lddg.experiments, "_openblas", lambda: None)
+
+
+class TestThreads:
+    """A study's groups train on two threads, with one thread's results and errors."""
+
+    def test_rows_are_those_of_one_thread(self, two_cpus, monkeypatch):
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        get, _ = lddg.experiments._openblas()
+        before = get()
+        calls = _record_groups(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the threads switch every few bytecodes
+        try:
+            rows = sweep_rank(FULL_BATCH_TRAIN, sources, target, ranks=(2, 4, 5), seeds=(0, 1))
+        finally:
+            sys.setswitchinterval(interval)
+        caller = threading.current_thread()
+        on = {members[0]: (thread, count) for members, thread, count in calls}
+        assert [on[label][0] is caller for label in ("rank 2, seed 0", "rank 4, seed 0",
+                                                      "rank 5, seed 0")] == [True, False, True]
+        assert {count for _, count in on.values()} == {1}
+        assert get() == before
+
+        calls.clear()
+        _one_thread(monkeypatch)
+        assert sweep_rank(FULL_BATCH_TRAIN, sources, target, ranks=(2, 4, 5),
+                          seeds=(0, 1)) == rows
+        assert {thread for _, thread, _ in calls} == {caller}
+
+    def test_blas_count_is_restored_after_an_error(self, two_cpus, monkeypatch):
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        counts = []
+        monkeypatch.setattr(lddg.experiments, "_openblas", lambda: (lambda: 3, counts.append))
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="cell nuclear"):
+            ablate_components(replace(FULL_BATCH_TRAIN, lambda1=1e308), sources, target,
+                              seeds=(0,), cells=("none", "kl", "nuclear"))
+        assert counts == [1, 3]
+
+    @pytest.mark.parametrize("cells", [
+        ("none", "kl", "nuclear"),  # only the worker's group diverges
+        ("none", "kl", "nuclear", "rank", "nuclear+kl"),  # groups 1 and 2 diverge
+        ("nuclear", "none", "nuclear+kl", "kl"),  # groups 0 and 1 diverge
+    ])
+    def test_the_first_diverging_group_is_named(self, two_cpus, monkeypatch, cells):
+        # the nuclear norm of the first batch, times lambda1, overflows the loss;
+        # the worker must see the caller's errstate, or it warns instead
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        hot = replace(FULL_BATCH_TRAIN, lambda1=1e308)
+
+        def error():
+            with np.errstate(over="ignore"), pytest.raises(RuntimeError) as exc:
+                ablate_components(hot, sources, target, seeds=(0,), cells=cells)
+            return str(exc.value)
+
+        threaded = error()
+        _one_thread(monkeypatch)
+        assert threaded == error()
+        assert threaded.startswith("training diverged at epoch 0, batch 0 (cell nuclear, seed 0): ")
