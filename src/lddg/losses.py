@@ -49,6 +49,8 @@ def batch_mean(logits, labels):
         raise ValueError("batch_mean needs at least one sample")
     if labels.shape != logits.shape[:-1]:
         raise ValueError(f"labels shape {labels.shape} does not match {n} rows")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integer class indices, got dtype {labels.dtype}")
     if labels.min() < 0 or labels.max() >= logits.shape[-1]:
         raise ValueError(f"labels out of range for {logits.shape[-1]} classes")
     losses, exps, total = _row_losses(logits, labels)

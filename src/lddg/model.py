@@ -137,6 +137,9 @@ class TrainConfig:
             raise ValueError("rank_target must be >= 1 when set")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if (self.epochs - 1) // self.lr_decay_every > 308:  # 10.0 ** 309 overflows
+            raise ValueError(f"lr_decay_every {self.lr_decay_every} divides the learning rate "
+                             f"by 10 more than 308 times in {self.epochs} epochs")
 
 
 @dataclass
@@ -208,10 +211,9 @@ def _layout(params):
 
 
 def _flat_vector(params):
-    """Every weight matrix, then every bias, of ``params`` in one vector."""
-    layers = params.layers()
-    return np.concatenate([layer.weight.ravel() for layer in layers]
-                          + [layer.bias for layer in layers], dtype=np.float64)
+    """``params.flat()`` (each layer's weight in C order, then its bias) in one
+    vector: the parameters' only layout, and a checkpoint's data section."""
+    return np.concatenate([a.ravel() for a in params.flat()], dtype=np.float64)
 
 
 def _unflatten(flat, layout, cls=ModelParams, **extra):
@@ -219,12 +221,10 @@ def _unflatten(flat, layout, cls=ModelParams, **extra):
     out as ``_flat_vector`` lays them out; a leading axis of ``flat``
     stacks members."""
     lead = flat.shape[:-1]
-    offset, weights = 0, []
-    for _, out_dim, in_dim in layout:
-        weights.append(flat[..., offset : offset + out_dim * in_dim].reshape(*lead, out_dim, in_dim))
+    offset, layers = 0, []
+    for activation, out_dim, in_dim in layout:
+        weight = flat[..., offset : offset + out_dim * in_dim].reshape(*lead, out_dim, in_dim)
         offset += out_dim * in_dim
-    layers = []
-    for (activation, out_dim, _), weight in zip(layout, weights):
         layers.append(Layer(weight, flat[..., offset : offset + out_dim], activation))
         offset += out_dim
     return cls(layers[:-4], *layers[-4:], **extra)
@@ -283,11 +283,12 @@ class _Buffers(dict):
 class _Stacked(ModelParams):
     """A group of members stacked on a leading axis, and everything it owns:
     each layer's weight is (members, out, in) and its bias (members, out),
-    views of the rows of ``vector``, laid out as ``_flat_vector`` lays out
-    one model; ``m`` and ``v`` are Adam's moments in that layout and ``t``
-    its step count.  ``forward``, ``backward`` and ``adam_step`` write one
-    step's arrays into ``buffers``, so a trace or gradients of these params
-    hold until the next such call.  ``backward`` returns gradients of this
+    views of the rows of ``vector``, each row one member's ``_flat_vector``
+    (and so its checkpoint data); ``m``, ``v`` and the gradients' vector
+    share that layout, and ``t`` is Adam's step count.  ``forward``,
+    ``backward`` and ``adam_step`` write one step's arrays into
+    ``buffers``, so a trace or gradients of these params hold until the
+    next such call.  ``backward`` returns gradients of this
     type (without moments), whose ``vector`` ``adam_step`` consumes."""
 
     vector: np.ndarray | None = None
@@ -353,14 +354,14 @@ def _activate(pre, kind, tmp=None):
     return pre
 
 
-def _activate_grad(d_act, act, kind, tmp=None):
+def _activate_grad(d_act, act, kind, tmp):
     """``d_act`` times the activation's derivative, in place, read off the
     activation's output ``act``: with a positive slope, an output is > 0
-    exactly where its input is.  ``tmp`` (a new array when None) takes the
+    exactly where its input is.  ``tmp``, shaped as ``act``, takes the
     derivative."""
     if kind == "linear":
         return d_act
-    deriv = np.greater(act, 0.0, out=np.empty_like(act) if tmp is None else tmp)
+    deriv = np.greater(act, 0.0, out=tmp)
     if kind == "leaky_relu":
         deriv *= 1.0 - _LEAKY_SLOPE
         deriv += _LEAKY_SLOPE
@@ -568,8 +569,8 @@ def adam_step(params: ModelParams, grads: ModelParams, lr: float, weight_decay: 
     m_hat = np.divide(m, 1.0 - beta1**t, out=scratch)
     v_hat = np.divide(v, 1.0 - beta2**t, out=g)
     if weight_decay:
-        n_weights = sum(out * in_dim for _, out, in_dim in params.buffers.layout)
-        p[..., :n_weights] *= 1.0 - lr * weight_decay
+        for layer in params.layers():
+            layer.weight *= 1.0 - lr * weight_decay
     # p -= lr * m_hat / (sqrt(v_hat) + eps), in place, in that order
     np.sqrt(v_hat, out=v_hat)
     v_hat += _ADAM_EPS
@@ -585,7 +586,8 @@ def adam_step(params: ModelParams, grads: ModelParams, lr: float, weight_decay: 
 #   <num_layers>
 #   <activation> <out> <in>     (one line per layer, as _architecture lists them)
 #   DATA
-#   raw little-endian float64: weight then bias per layer, C order
+#   raw little-endian float64: _flat_vector's vector (weight then bias per
+#   layer, C order)
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"LDDG-MODEL"
@@ -594,18 +596,12 @@ _CKPT_VERSION = 1
 
 def save_checkpoint(path, params: ModelParams):
     """Serialize parameters with a self-describing header."""
-    layers = params.layers()
-    lines = [f"{_CKPT_MAGIC.decode()} {_CKPT_VERSION}", str(len(layers))]
-    for layer in layers:
-        out_dim, in_dim = layer.weight.shape
-        lines.append(f"{layer.activation} {out_dim} {in_dim}")
-    lines.append("DATA")
-    blob = b"".join(
-        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in params.flat()
-    )
+    layout = _layout(params)
+    lines = [f"{_CKPT_MAGIC.decode()} {_CKPT_VERSION}", str(len(layout))]
+    lines += [f"{activation} {out_dim} {in_dim}" for activation, out_dim, in_dim in layout]
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
-        fh.write(blob)
+        fh.write(("\n".join(lines) + "\nDATA\n").encode())
+        fh.write(_flat_vector(params).astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -639,20 +635,11 @@ def load_checkpoint(path) -> ModelParams:
                              f"does not fit the model, expected {' '.join(map(str, want))!r}")
     need = sum(o * i + o for _, o, i in shapes) * 8
     if len(rest) != need:
-        raise ValueError(
-            f"{path}: expected {need} bytes of parameters, found {len(rest)}"
-        )
-    if not np.all(np.isfinite(np.frombuffer(rest, dtype="<f8"))):
+        raise ValueError(f"{path}: expected {need} bytes of parameters, found {len(rest)}")
+    vector = np.frombuffer(rest, dtype="<f8").astype(np.float64)
+    if not np.isfinite(vector).all():
         raise ValueError(f"{path}: parameters hold non-finite values (NaN or inf)")
-    layers, offset = [], 0
-    for act, out_dim, in_dim in shapes:
-        w = np.frombuffer(rest, dtype="<f8", count=out_dim * in_dim, offset=offset)
-        offset += w.nbytes
-        b = np.frombuffer(rest, dtype="<f8", count=out_dim, offset=offset)
-        offset += b.nbytes
-        layers.append(Layer(w.reshape(out_dim, in_dim).astype(np.float64),
-                            b.astype(np.float64), act))
-    return ModelParams(layers[:-4], *layers[-4:])
+    return _unflatten(vector, shapes)
 
 
 def _header_line(path, lines, number, *kinds):

@@ -251,6 +251,18 @@ class TestTrain:
         assert rc == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
 
+    def test_lr_decay_beyond_float_range_is_rejected_before_training(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def unreachable(*args):
+            raise AssertionError("train ran with a learning rate past float range")
+
+        monkeypatch.setattr(lddg.cli, "train", unreachable)
+        config = _config_with(tmp_path, "train", epochs=320, lr_decay_every=1, batch_per_domain=200)
+        rc = main(["train", "--config", str(config), "--sources", str(workspace["sources"])])
+        assert rc == 1
+        assert "lr_decay_every 1" in capsys.readouterr().err
+
     def test_negative_seed_names_the_seed(self, workspace, tmp_path, capsys):
         rc = main([
             "train", "--config", str(_config_with(tmp_path, "train", seed=-1)),

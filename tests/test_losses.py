@@ -54,6 +54,10 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy_softmax(np.zeros(3), -1)
 
+    def test_bool_label_rejected(self):
+        with pytest.raises(ValueError, match="labels"):
+            cross_entropy_softmax(np.zeros(3), True)
+
     def test_logits_of_several_rows_rejected(self):
         with pytest.raises(ValueError, match="expects 1-D logits"):
             cross_entropy_softmax(np.zeros((2, 3)), 0)
@@ -77,6 +81,19 @@ class TestBatchMean:
         for label in (-1, 3):
             with pytest.raises(ValueError, match="out of range"):
                 batch_mean(logits, [label])
+
+    @pytest.mark.parametrize("labels", [[True, False], [1.0, 0.0], np.array([1, 0], dtype=object)])
+    def test_labels_that_are_not_integers_rejected(self, labels):
+        # boolean labels would index a mask, scoring class 0 for both rows
+        with pytest.raises(ValueError, match="labels"):
+            batch_mean([[1.0, 2.0], [0.5, -1.0]], labels)
+
+    def test_unsigned_labels_score_as_signed_ones(self):
+        logits = np.array([[1.0, 2.0], [0.5, -1.0]])
+        want = batch_mean(logits, np.array([1, 0]))
+        got = batch_mean(logits, np.array([1, 0], dtype=np.uint8))
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

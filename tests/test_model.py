@@ -117,13 +117,13 @@ class TestLeakyRelu:
         want = np.where(pre > 0.0, pre, _LEAKY_SLOPE * pre)
         want_grad = np.where(pre > 0.0, 1.0, _LEAKY_SLOPE)
         got = _activate(pre, "leaky_relu")
-        got_grad = _activate_grad(np.ones_like(pre), pre, "leaky_relu")
+        got_grad = _activate_grad(np.ones_like(pre), pre, "leaky_relu", np.empty_like(pre))
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_grad, want_grad)
         # the gradient scales d_act in place, as d_act * want_grad would
         d_act = rng.standard_normal(pre.shape)
         scaled = d_act.copy()
-        assert _activate_grad(scaled, pre, "leaky_relu") is scaled
+        assert _activate_grad(scaled, pre, "leaky_relu", np.empty_like(pre)) is scaled
         np.testing.assert_array_equal(scaled, d_act * want_grad)
         np.testing.assert_array_equal(np.signbit(scaled), np.signbit(d_act * want_grad))
         # assert_array_equal treats -0.0 == 0.0; the signs must agree too
@@ -363,11 +363,8 @@ class TestAdam:
         for k, member in enumerate(members):
             for a, want in zip(_member(params, k).flat(), member.flat()):
                 np.testing.assert_array_equal(a, want)
-        n_w = sum(layer.weight[0].size for layer in params.layers())
         np.testing.assert_array_equal(
-            params.vector[:, :n_w],
-            [np.concatenate([layer.weight.ravel() for layer in p.layers()]) for p in members],
-        )
+            params.vector, [np.concatenate([a.ravel() for a in p.flat()]) for p in members])
         for moment in (params.m, params.v):
             assert moment.shape == params.vector.shape
             assert not moment.any()
@@ -452,6 +449,18 @@ class TestCheckpoint:
         for la, lb in zip(params.layers(), loaded.layers()):
             assert la.activation == lb.activation
         assert len(loaded.encoder) == len(params.encoder)
+
+    def test_loaded_layers_view_one_vector_holding_the_data_section(self, tmp_path):
+        params, _, _, _ = small_setup(seed=8)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params)
+        loaded = load_checkpoint(path)
+        vector = loaded.encoder[0].weight.base
+        assert vector is not None and vector.ndim == 1
+        for a in loaded.flat():
+            assert a.base is vector and a.flags.writeable
+        data = path.read_bytes().partition(b"DATA\n")[2]
+        assert vector.astype("<f8").tobytes() == data
 
     def test_truncated_file_rejected(self, tmp_path):
         params, _, _, _ = small_setup()
@@ -571,6 +580,14 @@ class TestTrainConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(rank_target=0)
+
+    def test_rejects_lr_decay_beyond_float_range(self):
+        # the last epoch divides the learning rate by 10 ** ((epochs - 1) // lr_decay_every)
+        TrainConfig(epochs=309, lr_decay_every=1)
+        with pytest.raises(ValueError, match="lr_decay_every"):
+            TrainConfig(epochs=310, lr_decay_every=1)
+        with pytest.raises(ValueError, match="lr_decay_every"):
+            TrainConfig(epochs=320 * 309 + 1, lr_decay_every=320)
 
     def test_rejects_epochs_below_one(self):
         with pytest.raises(ValueError, match="epochs"):

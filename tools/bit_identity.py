@@ -16,21 +16,29 @@ and 333 samples), the CSV tables and stdout of small ``lddg sweep-rank``
 and ``lddg ablate`` runs, the stdout of ``eval``, ``verify``, ``sweep-rank``
 and ``ablate`` when they are given no output path, and the bytes of
 ``true_latent_matrix`` for the default config and a noiseless 5-domain one.
+It also covers one model's ``forward``, ``total_loss`` and ``backward`` on
+criterion 04's 20 configurations (every trace array, the loss parts and
+the gradient bytes), and a ``save_checkpoint`` -> ``load_checkpoint`` ->
+``save_checkpoint`` round trip of the trained model's file.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
 import tempfile
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from lddg import cli
 from lddg.data import SyntheticConfig, generate_synthetic, save_dataset, true_latent_matrix
 from lddg.experiments import ablate_components, sweep_rank
-from lddg.model import TrainConfig
+from lddg.model import (TrainConfig, backward, forward, init_params, load_checkpoint,
+                        save_checkpoint, total_loss)
 
 
 def _digest(data):
@@ -41,6 +49,32 @@ def _run(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def _lone_steps():
+    """One line per criterion 04 configuration: the digests of one model's
+    trace arrays, loss parts and gradients."""
+    weights = [0.0, 0.001, 0.4]
+    configs = [(l1, l2, seed) for seed, (l1, l2) in enumerate(itertools.product(weights, weights))]
+    configs += [(0.001, 0.4, 100 + k) for k in range(20 - len(configs))]
+    for l1, l2, seed in configs:
+        cfg = TrainConfig(lambda1=l1, lambda2=l2, latent_dim=6, encoder_dims=(8, 8),
+                          head_hidden_dim=8)
+        rng = np.random.default_rng(seed)
+        params = init_params(10, 3, cfg, rng)
+        x = rng.standard_normal((9, 10))
+        labels = rng.integers(0, 3, 9)
+        noise = rng.standard_normal((9, 6))
+        trace = forward(params, x, noise)
+        value, parts = total_loss(trace, labels, cfg)
+        grads = backward(params, trace, labels, cfg)
+        arrays = [*trace.trunk_act, trace.posterior.mu, trace.posterior.log_var, trace.noise,
+                  trace.z, trace.logits, trace.d_logits, trace.kl_mu, trace.kl_log_var]
+        arrays += [a for a in (trace.rank_sub, trace.sigma) if a is not None]
+        print("lone step", l1, l2, seed,
+              "trace", _digest(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)),
+              "parts", repr((value, parts)),
+              "grads", _digest(b"".join(np.ascontiguousarray(a).tobytes() for a in grads.flat())))
 
 
 def main():
@@ -68,10 +102,11 @@ def main():
     mixed = replace(base, encoder_dims=(24, 40), head_hidden_dim=8, latent_dim=12)
     for row in ablate_components(mixed, *generate_synthetic(SyntheticConfig()), seeds=(0, 1)):
         print("ablate-mixed-widths", repr(asdict(row)))
+    _lone_steps()
 
     with tempfile.TemporaryDirectory() as tmp:
         path = {name: os.path.join(tmp, name) for name in
-                ("src.txt", "tgt.txt", "model.bin", "metrics.jsonl", "eval.json",
+                ("src.txt", "tgt.txt", "model.bin", "model2.bin", "metrics.jsonl", "eval.json",
                  "kl.jsonl", "risk.jsonl", "gen.json", "gen-src.txt", "gen-tgt.txt",
                  "train.json", "study.json", "sweep.csv", "ablate.csv")}
         with open(path["gen.json"], "w") as fh:
@@ -90,7 +125,12 @@ def main():
                           "--metrics-out", path["metrics.jsonl"]])
         print("train exit", code, "stdout", _digest(out.replace(tmp, "<tmp>")))
         with open(path["model.bin"], "rb") as fh:
-            print("checkpoint", _digest(fh.read()))
+            written = fh.read()
+        print("checkpoint", _digest(written))
+        save_checkpoint(path["model2.bin"], load_checkpoint(path["model.bin"]))
+        with open(path["model2.bin"], "rb") as fh:
+            again = fh.read()
+        print("checkpoint round trip", _digest(again), "same bytes", again == written)
         with open(path["metrics.jsonl"]) as fh:
             records = [json.loads(line) for line in fh]
         for rec in records:
