@@ -7,13 +7,13 @@ pins the entire metrics trajectory bit-for-bit.
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
-import functools
 import logging
 import os
+import pickle
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -24,9 +24,12 @@ from .model import (
     ModelParams,
     TrainConfig,
     _affine,
+    _flat_vector,
+    _layout,
     _member,
     _stack,
     _trunk,
+    _unflatten,
     adam_step,
     backward,
     forward,
@@ -124,7 +127,9 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     ``(params, RunResult)`` per member, in order, each bit for bit what
     training that config alone returns (the wall time, the group's, aside).
     Warnings and errors about a member name its label; the first member to
-    diverge stops the group.
+    diverge stops the group.  A call trains in the calling process; a study
+    with more than one group trains half of them in a forked child process
+    (see ``_train_groups``).
     """
     if len(sources) == 0:
         raise ValueError("sources have no records to train on")
@@ -292,12 +297,13 @@ def _study(base_cfg, sources, target, members, seeds, row):
     """The one loop of both studies: train ``replace(base_cfg, seed=seed,
     **overrides)`` for each ``(key, overrides)`` member, then each seed, and
     score each once on the target.  Members form groups in that order (see
-    ``train``) of as many as fit ``_GROUP_ROWS`` latent rows per step, and
-    the groups train on up to two threads (see ``_train_groups``); every
-    member is scored after all have trained.  Returns ``row(key,
-    accuracies, mean, std)`` per member (population std).  An empty or
-    repeated list of member keys or of seeds raises ``ValueError``; so does
-    any config, as every one is built before the first member trains."""
+    ``train``) of near-equal size, as few as fit ``_GROUP_ROWS`` latent rows
+    per step, and at least two when the groups can train in two processes
+    (see ``_train_groups``); every member is scored after all have trained.
+    Returns ``row(key, accuracies, mean, std)`` per member (population
+    std).  An empty or repeated list of member keys or of seeds raises
+    ``ValueError``; so does any config, as every one is built before the
+    first member trains."""
     seeds = list(seeds)
     name = fields(row)[0].name
     for what, values in ((name, [key for key, _ in members]), ("seed", seeds)):
@@ -308,7 +314,13 @@ def _study(base_cfg, sources, target, members, seeds, row):
     labelled = [(f"{name} {key}, seed {seed}", replace(base_cfg, seed=seed, **overrides))
                 for key, overrides in members for seed in seeds]
     size = max(1, _GROUP_ROWS // max(1, _batch_rows(sources, base_cfg.batch_per_domain)))
-    groups = [dict(labelled[start : start + size]) for start in range(0, len(labelled), size)]
+    count = -(-len(labelled) // size)
+    if count < 2 and _parallel(len(labelled)):
+        count = 2
+    # the first len % count groups hold one member more than the others
+    small, extra = divmod(len(labelled), count)
+    starts = [k * small + min(k, extra) for k in range(count + 1)]
+    groups = [dict(labelled[a:b]) for a, b in zip(starts, starts[1:])]
     accs = [evaluate(params, target).accuracy
             for group in _train_groups(base_cfg, sources, groups) for params, _ in group]
     rows = []
@@ -321,33 +333,129 @@ def _study(base_cfg, sources, target, members, seeds, row):
 def _train_groups(cfg, sources, groups):
     """``train(cfg, sources, group)`` for each group, in order.
 
-    With more than one group and CPU, the calling thread trains the groups
-    at even positions and one worker thread those at odd positions, each in
-    a copy of the caller's context (``np.errstate`` is context-local).
-    numpy's OpenBLAS is pinned to one thread meanwhile, process-wide, so
-    that the two threads do not oversubscribe the cores; its previous count
-    is restored when both are done, also after an error.  Results are read
-    in group order, so the error raised is the first in group order, as one
-    thread would raise it; groups not yet begun are then not trained.  When
-    this numpy exports no OpenBLAS thread count, the calling thread trains
-    every group.
+    When ``_parallel`` allows it, this process trains the groups at even
+    positions and one forked child process those at odd positions.
+    numpy's OpenBLAS is pinned to one thread before the fork, so that the
+    two processes do not oversubscribe the cores, and its previous count
+    is restored when both are done, also after an error.  The child sends
+    back, through a pipe, each group's parameter vector and RunResults,
+    the records ``logger`` emitted and the warnings shown meanwhile, or its
+    first error, and always ends with ``os._exit``; this process always
+    waits for it.  The params are rebuilt as views of one vector per group.
+    Both processes hold back their log records and warnings, which are
+    then emitted in group order, and the error raised is the first in
+    group order, as one process would raise it; each process trains no
+    group after its own first error.  A child that ends without sending
+    its results raises ``RuntimeError`` naming its exit status.  Otherwise
+    this process trains every group.
     """
-    run = functools.partial(train, cfg, sources)
-    blas = _openblas() if len(groups) > 1 and _cpus() > 1 else None
+    blas = _parallel(len(groups))
     if blas is None:
-        return [run(group) for group in groups]
+        return [train(cfg, sources, group) for group in groups]
     get, put = blas
-    pool = ThreadPoolExecutor(1)
     before = get()
-    put(1)
+    put(1)  # before the fork, so that the child inherits it
     try:
-        later = {i: pool.submit(contextvars.copy_context().run, run, group)
-                 for i, group in enumerate(groups) if i % 2}
-        return [later[i].result() if i in later else run(group)
-                for i, group in enumerate(groups)]
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _child(cfg, sources, groups[1::2], read_fd, write_fd)
+        os.close(write_fd)
+        try:
+            with open(read_fd, "rb") as pipe:
+                ours = _outcomes(cfg, sources, groups[0::2])
+                sent = pipe.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
-        pool.shutdown(cancel_futures=True)
         put(before)
+    if status != 0:
+        raise RuntimeError(f"the child process training a study's odd groups exited "
+                           f"with status {status} before sending its results")
+    theirs = pickle.loads(sent)
+    results = []
+    for i in range(len(groups)):
+        # each process stopped at its first error, which comes before its missing groups
+        records, warned, result, error = (ours, theirs)[i % 2][i // 2]
+        for record in records:
+            logger.handle(record)
+        for warning in warned:
+            warnings.warn_explicit(*warning)
+        if error is not None:
+            raise error
+        if i % 2:  # as the child packed it
+            layout, vector, runs = result
+            result = [(_unflatten(row, layout), run) for row, run in zip(vector, runs)]
+        results.append(result)
+    return results
+
+
+def _child(cfg, sources, groups, read_fd, write_fd):
+    """The forked child of ``_train_groups``: trains ``groups``, writes
+    their packed outcomes to ``write_fd`` and exits the process, with
+    status 0 once all is written."""
+    status = 1
+    try:
+        os.close(read_fd)
+        packed = []
+        for records, warned, result, error in _outcomes(cfg, sources, groups):
+            if result is not None:
+                result = (_layout(result[0][0]),
+                          np.stack([_flat_vector(params) for params, _ in result]),
+                          [run for _, run in result])
+            if error is not None:
+                try:
+                    pickle.loads(pickle.dumps(error))
+                except Exception:  # an error its class cannot rebuild from its args
+                    error = RuntimeError(f"{type(error).__name__}: {error}")
+            packed.append((records, warned, result, error))
+        with open(write_fd, "wb") as pipe:
+            pickle.dump(packed, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _outcomes(cfg, sources, groups):
+    """``(records, warned, results, error)`` of ``train(cfg, sources,
+    group)`` for each group in order, up to the first that raises: the
+    records ``logger`` emitted and the warnings shown meanwhile (as
+    ``warnings.warn_explicit`` arguments), both held back, and the results
+    or the error (the other one None).  Warnings the filters turn into
+    errors still raise."""
+    outcomes = []
+    for group in groups:
+        records = []
+
+        def hold(record):
+            records.append(record)
+            return False
+
+        logger.addFilter(hold)
+        try:
+            with warnings.catch_warnings(record=True) as shown:
+                try:
+                    results, error = train(cfg, sources, group), None
+                except Exception as exc:
+                    results, error = None, exc
+        finally:
+            logger.removeFilter(hold)
+        warned = [(w.message, w.category, w.filename, w.lineno) for w in shown]
+        outcomes.append((records, warned, results, error))
+        if error is not None:
+            break
+    return outcomes
+
+
+def _parallel(count):
+    """numpy's OpenBLAS ``(get, set)`` when ``count`` groups, or members,
+    can train in two processes: there are at least two, two usable CPUs,
+    ``os.fork`` and the OpenBLAS thread count, and this process runs no
+    other thread (a fork copies only the calling one, and a lock another
+    holds would stay held in the child); otherwise None."""
+    if count < 2 or _cpus() < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return None
+    return _openblas()
 
 
 def _openblas():
@@ -389,10 +497,13 @@ def ablate_components(
     target the model could not score raises ``ValueError`` before any
     training.
 
-    When the members form more than one training group, the groups train
-    on two threads, and numpy's bundled OpenBLAS is pinned to one thread
-    for the whole process until they are done; the previous count is then
-    restored.  The rows are the same either way.
+    When two processes can train the members (see ``_parallel``), they
+    form at least two groups, and a forked child process trains those at
+    odd positions; numpy's bundled OpenBLAS is pinned to one thread from
+    before the fork until both processes are done, and the previous count
+    is then restored.  The rows, the warnings and their order, and the
+    error raised are the same either way; with two processes the warnings
+    come once both are done.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     wanted = list(ABLATION_CELLS) if cells is None else list(cells)
@@ -419,10 +530,13 @@ def sweep_rank(
     seed or a target the model could not score, raises ``ValueError``
     before any training.
 
-    When the members form more than one training group, the groups train
-    on two threads, and numpy's bundled OpenBLAS is pinned to one thread
-    for the whole process until they are done; the previous count is then
-    restored.  The rows are the same either way.
+    When two processes can train the members (see ``_parallel``), they
+    form at least two groups, and a forked child process trains those at
+    odd positions; numpy's bundled OpenBLAS is pinned to one thread from
+    before the fork until both processes are done, and the previous count
+    is then restored.  The rows, the warnings and their order, and the
+    error raised are the same either way; with two processes the warnings
+    come once both are done.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     ranks = list(ranks)

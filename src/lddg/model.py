@@ -288,14 +288,16 @@ class _Stacked(ModelParams):
     share that layout, and ``t`` is Adam's step count.  ``forward``,
     ``backward`` and ``adam_step`` write one step's arrays into
     ``buffers``, so a trace or gradients of these params hold until the
-    next such call.  ``backward`` returns gradients of this
-    type (without moments), whose ``vector`` ``adam_step`` consumes."""
+    next such call.  ``decays`` is True at each weight of the layout and
+    False at each bias.  ``backward`` returns gradients of this type
+    (without moments or decays), whose ``vector`` ``adam_step`` consumes."""
 
     vector: np.ndarray | None = None
     buffers: _Buffers | None = None
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
+    decays: np.ndarray | None = None
 
 
 def _stack(members, rows):
@@ -304,9 +306,12 @@ def _stack(members, rows):
     for batches of up to ``rows`` rows."""
     layout = _layout(members[0])
     vector = np.stack([_flat_vector(p) for p in members])
+    decays = np.zeros(vector.shape[-1], dtype=bool)
+    for layer in _unflatten(decays, layout).layers():
+        layer.weight[...] = True
     return _unflatten(vector, layout, _Stacked, vector=vector,
                       buffers=_Buffers((len(members),), rows, layout),
-                      m=np.zeros_like(vector), v=np.zeros_like(vector))
+                      m=np.zeros_like(vector), v=np.zeros_like(vector), decays=decays)
 
 
 def _member(params, m):
@@ -495,7 +500,7 @@ def backward(params: ModelParams, trace: ForwardTrace, labels, cfg: TrainConfig)
 
     def layer_grads(i, d_out, below):
         np.matmul(_swap(d_out), below, out=outs[i].weight)
-        np.sum(d_out, axis=-2, out=outs[i].bias)
+        np.einsum("...nw->...w", d_out, out=outs[i].bias)  # np.sum(axis=-2)'s bits, faster
 
     d_logits = trace.d_logits
     layer_grads(-1, d_logits, trace.z)  # classifier
@@ -568,9 +573,8 @@ def adam_step(params: ModelParams, grads: ModelParams, lr: float, weight_decay: 
     v += g
     m_hat = np.divide(m, 1.0 - beta1**t, out=scratch)
     v_hat = np.divide(v, 1.0 - beta2**t, out=g)
-    if weight_decay:
-        for layer in params.layers():
-            layer.weight *= 1.0 - lr * weight_decay
+    if weight_decay:  # a bias is multiplied by exactly 1.0
+        p *= np.where(params.decays, 1.0 - lr * weight_decay, 1.0)
     # p -= lr * m_hat / (sqrt(v_hat) + eps), in place, in that order
     np.sqrt(v_hat, out=v_hat)
     v_hat += _ADAM_EPS

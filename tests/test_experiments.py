@@ -1,8 +1,13 @@
 """Tests for the training harness, evaluation, and the study harnesses."""
 
+import contextlib
+import itertools
 import logging
-import sys
+import os
+import pickle
+import signal
 import threading
+import warnings
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -262,34 +267,58 @@ class TestCallsPerStep:
             sv = rec.singular_values
             assert len(sv) == 2 and sv[0] >= sv[1] > 0.0
 
-    def test_study_scores_each_member_once(self, tiny, monkeypatch):
+    def test_study_scores_each_member_once(self, tiny, monkeypatch, tmp_path):
         sources, target = tiny
         counts = {}
         _count_calls(monkeypatch, lddg.experiments, "evaluate", counts)
-        trained = _record_members(monkeypatch)
+        calls = _record_trains(monkeypatch, tmp_path)
         ablate_components(
             replace(TINY_TRAIN, epochs=1), sources, target, seeds=(0, 1),
             cells=("none", "rank+kl"),
         )
-        assert counts["evaluate"] == len(trained) == 4
+        assert counts["evaluate"] == len(_trained_configs(calls)) == 4
         counts.clear()
-        trained.clear()
         sweep_rank(replace(TINY_TRAIN, epochs=1), sources, target, ranks=(1, 2, 3), seeds=(0,))
-        assert counts["evaluate"] == len(trained) == 3
+        assert counts["evaluate"] == len(_trained_configs(calls)) == 3
 
 
-def _record_members(monkeypatch):
-    """Every config ``train`` trains from now on, in order: a study's
-    members, or a lone run's config."""
-    trained = []
+def _record_trains(monkeypatch, tmp_path):
+    """Record every ``train`` call from now on, in this process and in a
+    study's forked child alike: each process appends its calls to a file
+    of its own.  The returned function gives, and forgets, the calls made
+    since it was last called, each as ``(labels, cfgs, pid, blas)``: the
+    member labels (None for a lone run), the configs trained, the process
+    and its OpenBLAS thread count (None without the symbol).  Read after
+    each study, they come in group order: this process's calls and the
+    child's interleaved, as ``_train_groups`` deals the groups out."""
     original = lddg.experiments.train
+    blas = lddg.experiments._openblas()
 
-    def recording(cfg, sources, members=None):
-        trained.extend([cfg] if members is None else members.values())
-        return original(cfg, sources, members)
+    def recording(cfg, data, members=None):
+        call = (None if members is None else list(members),
+                [cfg] if members is None else list(members.values()),
+                os.getpid(), blas and blas[0]())
+        with open(tmp_path / f"train-calls-{os.getpid()}", "ab") as fh:
+            pickle.dump(call, fh)
+        return original(cfg, data, members)
+
+    def calls():
+        ours, theirs = [], []
+        for path in tmp_path.glob("train-calls-*"):
+            side = ours if path.name == f"train-calls-{os.getpid()}" else theirs
+            with open(path, "rb") as fh, contextlib.suppress(EOFError):
+                while True:
+                    side.append(pickle.load(fh))
+            path.unlink()
+        return [c for pair in itertools.zip_longest(ours, theirs) for c in pair if c is not None]
 
     monkeypatch.setattr(lddg.experiments, "train", recording)
-    return trained
+    return calls
+
+
+def _trained_configs(calls):
+    """Every config the recorded ``calls`` trained, in order."""
+    return [cfg for _, cfgs, _, _ in calls() for cfg in cfgs]
 
 
 def _posterior_mean_predictions(params, features):
@@ -446,12 +475,12 @@ class TestAblation:
             study(TINY_TRAIN, sources, target, seeds=seeds, **members)
         assert "train" not in counts
 
-    def test_members_train_cell_by_cell_then_seed(self, tiny, monkeypatch):
+    def test_members_train_cell_by_cell_then_seed(self, tiny, monkeypatch, tmp_path):
         sources, target = tiny
-        trained = _record_members(monkeypatch)
+        calls = _record_trains(monkeypatch, tmp_path)
         base = replace(TINY_TRAIN, epochs=1)
         ablate_components(base, sources, target, seeds=(3, 1), cells=("kl", "nuclear"))
-        assert trained == [
+        assert _trained_configs(calls) == [
             replace(base, lambda1=0.0, seed=3),
             replace(base, lambda1=0.0, seed=1),
             replace(base, lambda2=0.0, regularizer="nuclear", seed=3),
@@ -556,15 +585,14 @@ class TestGroups:
                 cfg = replace(TINY_TRAIN, seed=seed, **ABLATION_CELLS[row.cell])
                 assert acc == evaluate(train(cfg, sources)[0], target).accuracy
 
-    def test_600_row_studies_train_two_members_a_step(self, monkeypatch):
+    def test_600_row_studies_train_two_members_a_step(self, monkeypatch, tmp_path):
         sources, target = generate_synthetic(FULL_BATCH_DATA)
-        calls = _record_groups(monkeypatch)
+        calls = _record_trains(monkeypatch, tmp_path)
         sweep_rank(replace(FULL_BATCH_TRAIN, epochs=1), sources, target,
                    ranks=(1, 2, 3), seeds=(0, 1, 2))
         labels = [f"rank {r}, seed {s}" for r in (1, 2, 3) for s in (0, 1, 2)]
-        # the groups may train on two threads, so the calls may come in either order
-        groups = sorted((members for members, _, _ in calls), key=lambda g: labels.index(g[0]))
-        assert groups == [labels[0:2], labels[2:4], labels[4:6], labels[6:8], labels[8:]]
+        assert [members for members, *_ in calls()] == [
+            labels[0:2], labels[2:4], labels[4:6], labels[6:8], labels[8:]]
 
     def test_members_may_differ_only_in_their_own_fields(self, tiny):
         sources, _ = tiny
@@ -620,61 +648,89 @@ class TestGroups:
                        ranks=(3, 2), seeds=(4,))
 
 
-def _record_groups(monkeypatch):
-    """Per ``train`` call from now on: its member labels, the thread it ran
-    on and the OpenBLAS thread count it ran under (None without one)."""
-    calls = []
-    original = lddg.experiments.train
-    blas = lddg.experiments._openblas()
-
-    def recording(cfg, data, members=None):
-        calls.append((list(members), threading.current_thread(), blas and blas[0]()))
-        return original(cfg, data, members)
-
-    monkeypatch.setattr(lddg.experiments, "train", recording)
-    return calls
-
-
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """A study of several groups uses its worker thread, on any host."""
-    if lddg.experiments._openblas() is None:
-        pytest.skip("this numpy build exports no OpenBLAS thread count")
+    """A study of several groups forks its child process, on any host."""
+    if lddg.experiments._openblas() is None or not hasattr(os, "fork"):
+        pytest.skip("this platform has no os.fork or this numpy no OpenBLAS thread count")
     monkeypatch.setattr(lddg.experiments, "_cpus", lambda: 2)
 
 
-def _one_thread(monkeypatch):
-    """Studies from now on train every group on the calling thread, as
-    without the OpenBLAS symbol."""
+def _inline(monkeypatch):
+    """Studies from now on train every group in this process, as without
+    the OpenBLAS symbol."""
     monkeypatch.setattr(lddg.experiments, "_openblas", lambda: None)
 
 
-class TestThreads:
-    """A study's groups train on two threads, with one thread's results and errors."""
+class TestProcesses:
+    """A study's odd groups train in a forked child, with one process's results and errors."""
 
-    def test_rows_are_those_of_one_thread(self, two_cpus, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def no_child_is_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_rows_are_those_of_one_process(self, two_cpus, monkeypatch, tmp_path):
         sources, target = generate_synthetic(FULL_BATCH_DATA)
         get, _ = lddg.experiments._openblas()
         before = get()
-        calls = _record_groups(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the threads switch every few bytecodes
-        try:
-            rows = sweep_rank(FULL_BATCH_TRAIN, sources, target, ranks=(2, 4, 5), seeds=(0, 1))
-        finally:
-            sys.setswitchinterval(interval)
-        caller = threading.current_thread()
-        on = {members[0]: (thread, count) for members, thread, count in calls}
-        assert [on[label][0] is caller for label in ("rank 2, seed 0", "rank 4, seed 0",
-                                                      "rank 5, seed 0")] == [True, False, True]
-        assert {count for _, count in on.values()} == {1}
+        calls = _record_trains(monkeypatch, tmp_path)
+        rows = sweep_rank(FULL_BATCH_TRAIN, sources, target, ranks=(2, 4, 5), seeds=(0, 1))
+        forked = calls()
+        assert [labels for labels, *_ in forked] == [
+            [f"rank {r}, seed {s}" for s in (0, 1)] for r in (2, 4, 5)]
+        assert [pid == os.getpid() for _, _, pid, _ in forked] == [True, False, True]
+        assert {count for *_, count in forked} == {1}
         assert get() == before
 
-        calls.clear()
-        _one_thread(monkeypatch)
+        _inline(monkeypatch)
         assert sweep_rank(FULL_BATCH_TRAIN, sources, target, ranks=(2, 4, 5),
                           seeds=(0, 1)) == rows
-        assert {thread for _, thread, _ in calls} == {caller}
+        assert {pid for _, _, pid, _ in calls()} == {os.getpid()}
+
+    def test_members_that_fit_one_group_train_as_two(self, two_cpus, monkeypatch, tmp_path,
+                                                      tiny):
+        sources, target = tiny
+        calls = _record_trains(monkeypatch, tmp_path)
+        study = dict(seeds=(0, 1, 2), cells=("none", "rank", "kl"))
+        rows = ablate_components(replace(TINY_TRAIN, epochs=1), sources, target, **study)
+        labels = [f"cell {c}, seed {s}" for c in study["cells"] for s in study["seeds"]]
+        assert [(members, pid == os.getpid()) for members, _, pid, _ in calls()] == [
+            (labels[:5], True), (labels[5:], False)]
+        _inline(monkeypatch)
+        assert ablate_components(replace(TINY_TRAIN, epochs=1), sources, target, **study) == rows
+        assert [members for members, *_ in calls()] == [labels]
+
+    def test_a_process_running_another_thread_trains_inline(self, two_cpus, monkeypatch,
+                                                             tmp_path):
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        calls = _record_trains(monkeypatch, tmp_path)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            sweep_rank(replace(FULL_BATCH_TRAIN, epochs=1), sources, target, ranks=(2, 4),
+                       seeds=(0, 1))
+        finally:
+            stop.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert [(len(members), pid) for members, _, pid, _ in calls()] == [(2, os.getpid())] * 2
+
+    def test_the_childs_params_view_one_vector_per_group(self, two_cpus, monkeypatch):
+        sources, _ = generate_synthetic(FULL_BATCH_DATA)
+        groups = [{f"{g} {s}": replace(FULL_BATCH_TRAIN, seed=s, rank_target=g + 2)
+                   for s in (0, 1)} for g in range(2)]
+        forked = lddg.experiments._train_groups(FULL_BATCH_TRAIN, sources, groups)
+        _inline(monkeypatch)
+        alone = lddg.experiments._train_groups(FULL_BATCH_TRAIN, sources, groups)
+        for pairs, inline in zip(forked, alone):
+            assert len({id(a.base) for params, _ in pairs for a in params.flat()}) == 1
+            for (params, result), (want, expected) in zip(pairs, inline):
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(params.flat(), want.flat()))
+                assert result.epochs == expected.epochs and result.config == expected.config
 
     def test_blas_count_is_restored_after_an_error(self, two_cpus, monkeypatch):
         sources, target = generate_synthetic(FULL_BATCH_DATA)
@@ -686,13 +742,13 @@ class TestThreads:
         assert counts == [1, 3]
 
     @pytest.mark.parametrize("cells", [
-        ("none", "kl", "nuclear"),  # only the worker's group diverges
+        ("none", "kl", "nuclear"),  # only the child's group diverges
         ("none", "kl", "nuclear", "rank", "nuclear+kl"),  # groups 1 and 2 diverge
         ("nuclear", "none", "nuclear+kl", "kl"),  # groups 0 and 1 diverge
     ])
     def test_the_first_diverging_group_is_named(self, two_cpus, monkeypatch, cells):
         # the nuclear norm of the first batch, times lambda1, overflows the loss;
-        # the worker must see the caller's errstate, or it warns instead
+        # the child must inherit the caller's errstate, or it warns instead
         sources, target = generate_synthetic(FULL_BATCH_DATA)
         hot = replace(FULL_BATCH_TRAIN, lambda1=1e308)
 
@@ -701,7 +757,72 @@ class TestThreads:
                 ablate_components(hot, sources, target, seeds=(0,), cells=cells)
             return str(exc.value)
 
-        threaded = error()
-        _one_thread(monkeypatch)
-        assert threaded == error()
-        assert threaded.startswith("training diverged at epoch 0, batch 0 (cell nuclear, seed 0): ")
+        forked = error()
+        _inline(monkeypatch)
+        assert forked == error()
+        assert forked.startswith("training diverged at epoch 0, batch 0 (cell nuclear, seed 0): ")
+
+    @pytest.mark.parametrize("cells", [
+        ("none", "kl", "nuclear"),  # only the child's group warns
+        ("none", "kl", "nuclear", "rank", "nuclear+kl"),  # groups 1 and 2 warn; 1 raises first
+    ])
+    def test_numpy_warnings_are_those_of_one_process(self, two_cpus, monkeypatch, cells):
+        # unsilenced, the overflow of a diverging group warns before it raises
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        hot = replace(FULL_BATCH_TRAIN, lambda1=1e308)
+
+        def warned():
+            with warnings.catch_warnings(record=True) as shown, pytest.raises(RuntimeError):
+                warnings.simplefilter("always")
+                ablate_components(hot, sources, target, seeds=(0,), cells=cells)
+            return [(w.category, str(w.message), w.filename, w.lineno) for w in shown]
+
+        forked = warned()
+        _inline(monkeypatch)
+        inline = warned()
+        assert forked and forked == inline
+
+    def test_log_records_come_in_group_order(self, two_cpus, monkeypatch, tmp_path, caplog):
+        # at rank target 16 every 16-wide latent batch is inert; the groups
+        # are [rank 0, 1], [rank 2, rank+kl 0] (the child's), [rank+kl 1, 2]
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        cfg = replace(FULL_BATCH_TRAIN, epochs=1, rank_target=16)
+        calls = _record_trains(monkeypatch, tmp_path)
+
+        def warned():
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="lddg.experiments"):
+                ablate_components(cfg, sources, target, seeds=(0, 1, 2), cells=("rank", "rank+kl"))
+            return [record.getMessage() for record in caplog.records]
+
+        forked = warned()
+        assert [pid == os.getpid() for _, _, pid, _ in calls()] == [True, False, True]
+        assert [m.split("(")[1].split(")")[0] for m in forked] == [
+            f"cell {c}, seed {s}" for c in ("rank", "rank+kl") for s in (0, 1, 2)]
+        _inline(monkeypatch)
+        assert warned() == forked
+
+    def test_a_child_that_dies_is_reported(self, two_cpus, monkeypatch):
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        get, _ = lddg.experiments._openblas()
+        before = get()
+        parent, original = os.getpid(), lddg.experiments.train
+
+        def dying(cfg, data, members=None):
+            if os.getpid() != parent:
+                os._exit(9)
+            return original(cfg, data, members)
+
+        def hung(signum, frame):
+            raise TimeoutError("the study hung after its child died")
+
+        monkeypatch.setattr(lddg.experiments, "train", dying)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            with pytest.raises(RuntimeError, match="exited with status 9 before sending"):
+                sweep_rank(FULL_BATCH_TRAIN, sources, target, ranks=(2, 4), seeds=(0,))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert get() == before

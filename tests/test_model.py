@@ -19,8 +19,10 @@ from lddg.model import (
     _activate,
     _activate_grad,
     _flat_vector,
+    _layout,
     _member,
     _stack,
+    _unflatten,
     adam_step,
     backward,
     forward,
@@ -274,6 +276,18 @@ class TestBackward:
         with pytest.raises(ValueError, match="total_loss"):
             backward(params, trace, y, cfg)
 
+    @pytest.mark.parametrize("shape", [(2, 600, 32), (2, 600, 16), (2, 600, 4), (12, 48, 32),
+                                       (12, 48, 16), (12, 48, 4), (12, 24, 32), (48, 16)])
+    def test_bias_sums_are_np_sum_bit_for_bit(self, shape):
+        # backward sums each bias gradient over the rows with einsum; on the
+        # step's shapes, into a strided bias view, it must add them in
+        # np.sum(axis=-2)'s order, which rows of 16 decades tell apart
+        rng = np.random.default_rng(4)
+        d_out = rng.standard_normal(shape) * np.logspace(-8, 8, shape[-2])[:, None]
+        out = np.empty((*shape[:-2], shape[-1] + 5))[..., 2 : 2 + shape[-1]]
+        np.einsum("...nw->...w", d_out, out=out)
+        assert out.tobytes() == np.sum(d_out, axis=-2).tobytes()
+
     def test_clamped_log_var_gets_zero_gradient(self):
         params, x, labels, noise = small_setup()
         params.head_log_var.bias[:] = 40.0  # raw log-var far above the clamp
@@ -346,6 +360,20 @@ class TestAdam:
         np.testing.assert_allclose(
             params.head_mu.weight[0], lone.head_mu.weight * (1.0 - 0.1 * 0.5), atol=1e-15
         )
+
+    def test_decay_is_the_per_layer_multiply_bit_for_bit(self):
+        # one multiply of the vector, by exactly 1.0 at each bias, is what
+        # multiplying each layer's weight alone gave; zero gradients step by 0.0
+        cfg = TrainConfig()
+        params = _stack([init_params(20, 4, cfg, np.random.default_rng(s)) for s in range(12)], 48)
+        lr, wd = 1e-3, 1e-3
+        want = params.vector.copy()
+        for layer in _unflatten(want, _layout(params)).layers():
+            layer.weight *= 1.0 - lr * wd
+        grads = params.buffers.grads
+        grads.vector[...] = 0.0
+        adam_step(params, grads, lr, wd)
+        assert params.vector.tobytes() == want.tobytes()
 
     def test_lone_params_are_rejected(self):
         params, _, _, _ = small_setup()

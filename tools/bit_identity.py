@@ -6,7 +6,8 @@ Run it on each tree and compare the outputs: any line that differs names
 the result that changed.  It covers the study rows of all six ablation
 cells and of ranks 1-8 (with 48-row and with 600-row steps, the latter
 also with one seed, so that every member of a group shares it), of the six
-cells with trunk layers of three widths on 48-row and 24-row steps, the bytes
+cells with trunk layers of three widths on 48-row and 24-row steps, of the
+six cells over seeds 0-4 on criterion 08's data and training, the bytes
 of the two files ``lddg gen-data`` writes, the checkpoint bytes, the
 metrics JSONL (without its wall time) and the stdout of ``lddg train``,
 the output of ``lddg eval``, the ``lddg verify`` reports and stdout for
@@ -98,10 +99,14 @@ def main():
         print("sweep-600", repr(asdict(row)))
     for row in sweep_rank(full, sources6, target6, ranks=range(1, 9), seeds=(0,)):
         print("sweep-600-one-seed", repr(asdict(row)))
+    default = generate_synthetic(SyntheticConfig())
     # trunk widths 24, 40 and 8 on the default data: 12 batches of 48 rows, then one of 24
     mixed = replace(base, encoder_dims=(24, 40), head_hidden_dim=8, latent_dim=12)
-    for row in ablate_components(mixed, *generate_synthetic(SyntheticConfig()), seeds=(0, 1)):
+    for row in ablate_components(mixed, *default, seeds=(0, 1)):
         print("ablate-mixed-widths", repr(asdict(row)))
+    # criterion 08's data and training, all six cells over seeds 0-4: 30 members
+    for row in ablate_components(TrainConfig(), *default, seeds=range(5)):
+        print("ablate-30", repr(asdict(row)))
     _lone_steps()
 
     with tempfile.TemporaryDirectory() as tmp:
