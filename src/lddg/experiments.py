@@ -24,12 +24,9 @@ from .model import (
     ModelParams,
     TrainConfig,
     _affine,
-    _flat_vector,
-    _layout,
     _member,
     _stack,
     _trunk,
-    _unflatten,
     adam_step,
     backward,
     forward,
@@ -129,7 +126,7 @@ def train(cfg: TrainConfig, sources: DomainDataset, members=None):
     Warnings and errors about a member name its label; the first member to
     diverge stops the group.  A call trains in the calling process; a study
     with more than one group trains half of them in a forked child process
-    (see ``_train_groups``).
+    (see ``_accuracies``).
     """
     if len(sources) == 0:
         raise ValueError("sources have no records to train on")
@@ -298,12 +295,16 @@ def _study(base_cfg, sources, target, members, seeds, row):
     **overrides)`` for each ``(key, overrides)`` member, then each seed, and
     score each once on the target.  Members form groups in that order (see
     ``train``) of near-equal size, as few as fit ``_GROUP_ROWS`` latent rows
-    per step, and at least two when the groups can train in two processes
-    (see ``_train_groups``); every member is scored after all have trained.
+    per step; each group's members are scored as soon as it has trained.
     Returns ``row(key, accuracies, mean, std)`` per member (population
     std).  An empty or repeated list of member keys or of seeds raises
     ``ValueError``; so does any config, as every one is built before the
-    first member trains."""
+    first member trains.
+
+    When ``_parallel`` allows it, the members form at least two groups, and
+    a forked child process trains and scores the second half of them (see
+    ``_accuracies``).  The rows, the log records and warnings and their
+    order, and the error raised are the same either way."""
     seeds = list(seeds)
     name = fields(row)[0].name
     for what, values in ((name, [key for key, _ in members]), ("seed", seeds)):
@@ -313,16 +314,16 @@ def _study(base_cfg, sources, target, members, seeds, row):
             raise ValueError(f"duplicate {what} values in study: {values}")
     labelled = [(f"{name} {key}, seed {seed}", replace(base_cfg, seed=seed, **overrides))
                 for key, overrides in members for seed in seeds]
+    blas = _parallel(len(labelled))
     size = max(1, _GROUP_ROWS // max(1, _batch_rows(sources, base_cfg.batch_per_domain)))
     count = -(-len(labelled) // size)
-    if count < 2 and _parallel(len(labelled)):
-        count = 2
+    if blas is not None:
+        count = max(count, 2)
     # the first len % count groups hold one member more than the others
     small, extra = divmod(len(labelled), count)
     starts = [k * small + min(k, extra) for k in range(count + 1)]
     groups = [dict(labelled[a:b]) for a, b in zip(starts, starts[1:])]
-    accs = [evaluate(params, target).accuracy
-            for group in _train_groups(base_cfg, sources, groups) for params, _ in group]
+    accs = _accuracies(base_cfg, sources, target, groups, blas)
     rows = []
     for i, (key, _) in enumerate(members):
         own = accs[i * len(seeds) : (i + 1) * len(seeds)]
@@ -330,28 +331,33 @@ def _study(base_cfg, sources, target, members, seeds, row):
     return rows
 
 
-def _train_groups(cfg, sources, groups):
-    """``train(cfg, sources, group)`` for each group, in order.
+def _scored(cfg, sources, target, groups):
+    """Target accuracy of every member of ``groups``, in order: each group
+    trains, then its members are scored, before the next group trains."""
+    return [evaluate(params, target).accuracy
+            for group in groups for params, _ in train(cfg, sources, group)]
 
-    When ``_parallel`` allows it, this process trains the groups at even
-    positions and one forked child process those at odd positions.
-    numpy's OpenBLAS is pinned to one thread before the fork, so that the
-    two processes do not oversubscribe the cores, and its previous count
-    is restored when both are done, also after an error.  The child sends
-    back, through a pipe, each group's parameter vector and RunResults,
-    the records ``logger`` emitted and the warnings shown meanwhile, or its
-    first error, and always ends with ``os._exit``; this process always
-    waits for it.  The params are rebuilt as views of one vector per group.
-    Both processes hold back their log records and warnings, which are
-    then emitted in group order, and the error raised is the first in
-    group order, as one process would raise it; each process trains no
-    group after its own first error.  A child that ends without sending
-    its results raises ``RuntimeError`` naming its exit status.  Otherwise
-    this process trains every group.
+
+def _accuracies(cfg, sources, target, groups, blas):
+    """``_scored(cfg, sources, target, groups)``, in two processes unless
+    ``blas``, the OpenBLAS ``(get, set)`` of ``_parallel``, is None.
+
+    This process trains and scores the first half of the groups (one more
+    when their count is odd), and one forked child process the rest.
+    OpenBLAS is pinned to one thread before the fork, so that the two
+    processes do not oversubscribe the cores, and its previous count is
+    restored when both are done, also after an error; this process always
+    waits for the child.  The child holds back the records ``logger``
+    emits and the warnings shown, and sends them through a pipe with its
+    accuracies or its first error; it always ends with ``os._exit``.  Once
+    this process's half has finished, it emits them and raises that error,
+    as one process would; an error of its own half is raised instead, and
+    the child's outcome is dropped.  A child that ends without sending its
+    outcome raises ``RuntimeError`` naming its exit status.
     """
-    blas = _parallel(len(groups))
     if blas is None:
-        return [train(cfg, sources, group) for group in groups]
+        return _scored(cfg, sources, target, groups)
+    half = -(-len(groups) // 2)
     get, put = blas
     before = get()
     put(1)  # before the fork, so that the child inherits it
@@ -359,97 +365,62 @@ def _train_groups(cfg, sources, groups):
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
-            _child(cfg, sources, groups[1::2], read_fd, write_fd)
+            _child(cfg, sources, target, groups[half:], read_fd, write_fd)
         os.close(write_fd)
         try:
             with open(read_fd, "rb") as pipe:
-                ours = _outcomes(cfg, sources, groups[0::2])
+                ours = _scored(cfg, sources, target, groups[:half])
                 sent = pipe.read()
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
         put(before)
     if status != 0:
-        raise RuntimeError(f"the child process training a study's odd groups exited "
+        raise RuntimeError(f"the child process training a study's second half exited "
                            f"with status {status} before sending its results")
-    theirs = pickle.loads(sent)
-    results = []
-    for i in range(len(groups)):
-        # each process stopped at its first error, which comes before its missing groups
-        records, warned, result, error = (ours, theirs)[i % 2][i // 2]
-        for record in records:
-            logger.handle(record)
-        for warning in warned:
-            warnings.warn_explicit(*warning)
-        if error is not None:
-            raise error
-        if i % 2:  # as the child packed it
-            layout, vector, runs = result
-            result = [(_unflatten(row, layout), run) for row, run in zip(vector, runs)]
-        results.append(result)
-    return results
+    records, warned, theirs, error = pickle.loads(sent)
+    for record in records:
+        logger.handle(record)
+    for warning in warned:
+        warnings.warn_explicit(*warning)
+    if error is not None:
+        raise error
+    return ours + theirs
 
 
-def _child(cfg, sources, groups, read_fd, write_fd):
-    """The forked child of ``_train_groups``: trains ``groups``, writes
-    their packed outcomes to ``write_fd`` and exits the process, with
-    status 0 once all is written."""
+def _child(cfg, sources, target, groups, read_fd, write_fd):
+    """The forked child of ``_accuracies``: trains and scores ``groups``,
+    writes ``(records, warned, accuracies, error)`` to ``write_fd`` (the
+    held-back log records, the warnings shown as ``warnings.warn_explicit``
+    arguments, and the accuracies or the first error, the other one None)
+    and exits the process, with status 0 once all is written.  Warnings the
+    filters turn into errors still raise."""
     status = 1
     try:
         os.close(read_fd)
-        packed = []
-        for records, warned, result, error in _outcomes(cfg, sources, groups):
-            if result is not None:
-                result = (_layout(result[0][0]),
-                          np.stack([_flat_vector(params) for params, _ in result]),
-                          [run for _, run in result])
-            if error is not None:
-                try:
-                    pickle.loads(pickle.dumps(error))
-                except Exception:  # an error its class cannot rebuild from its args
-                    error = RuntimeError(f"{type(error).__name__}: {error}")
-            packed.append((records, warned, result, error))
+        records, accs, error = [], None, None
+        logger.addFilter(lambda record: records.append(record))  # falsy: not emitted
+        with warnings.catch_warnings(record=True) as shown:
+            try:
+                accs = _scored(cfg, sources, target, groups)
+            except Exception as exc:
+                error = exc
+        if error is not None:
+            try:
+                pickle.loads(pickle.dumps(error))
+            except Exception:  # an error its class cannot rebuild from its args
+                error = RuntimeError(f"{type(error).__name__}: {error}")
+        warned = [(w.message, w.category, w.filename, w.lineno) for w in shown]
         with open(write_fd, "wb") as pipe:
-            pickle.dump(packed, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump((records, warned, accs, error), pipe, protocol=pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
-def _outcomes(cfg, sources, groups):
-    """``(records, warned, results, error)`` of ``train(cfg, sources,
-    group)`` for each group in order, up to the first that raises: the
-    records ``logger`` emitted and the warnings shown meanwhile (as
-    ``warnings.warn_explicit`` arguments), both held back, and the results
-    or the error (the other one None).  Warnings the filters turn into
-    errors still raise."""
-    outcomes = []
-    for group in groups:
-        records = []
-
-        def hold(record):
-            records.append(record)
-            return False
-
-        logger.addFilter(hold)
-        try:
-            with warnings.catch_warnings(record=True) as shown:
-                try:
-                    results, error = train(cfg, sources, group), None
-                except Exception as exc:
-                    results, error = None, exc
-        finally:
-            logger.removeFilter(hold)
-        warned = [(w.message, w.category, w.filename, w.lineno) for w in shown]
-        outcomes.append((records, warned, results, error))
-        if error is not None:
-            break
-    return outcomes
-
-
 def _parallel(count):
-    """numpy's OpenBLAS ``(get, set)`` when ``count`` groups, or members,
-    can train in two processes: there are at least two, two usable CPUs,
+    """numpy's OpenBLAS ``(get, set)`` when ``count`` members can train in
+    two processes: there are at least two, two usable CPUs,
     ``os.fork`` and the OpenBLAS thread count, and this process runs no
     other thread (a fork copies only the calling one, and a lock another
     holds would stay held in the child); otherwise None."""
@@ -496,14 +467,6 @@ def ablate_components(
     cell, an empty or repeated list of cells or seeds, a negative seed or a
     target the model could not score raises ``ValueError`` before any
     training.
-
-    When two processes can train the members (see ``_parallel``), they
-    form at least two groups, and a forked child process trains those at
-    odd positions; numpy's bundled OpenBLAS is pinned to one thread from
-    before the fork until both processes are done, and the previous count
-    is then restored.  The rows, the warnings and their order, and the
-    error raised are the same either way; with two processes the warnings
-    come once both are done.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     wanted = list(ABLATION_CELLS) if cells is None else list(cells)
@@ -529,14 +492,6 @@ def sweep_rank(
     misuse, like an empty rank or seed list, a repeated seed, a negative
     seed or a target the model could not score, raises ``ValueError``
     before any training.
-
-    When two processes can train the members (see ``_parallel``), they
-    form at least two groups, and a forked child process trains those at
-    odd positions; numpy's bundled OpenBLAS is pinned to one thread from
-    before the fork until both processes are done, and the previous count
-    is then restored.  The rows, the warnings and their order, and the
-    error raised are the same either way; with two processes the warnings
-    come once both are done.
     """
     _check_fits(target, sources.feature_dim, sources.num_classes)
     ranks = list(ranks)

@@ -1,7 +1,6 @@
 """Tests for the training harness, evaluation, and the study harnesses."""
 
 import contextlib
-import itertools
 import logging
 import os
 import pickle
@@ -269,50 +268,50 @@ class TestCallsPerStep:
 
     def test_study_scores_each_member_once(self, tiny, monkeypatch, tmp_path):
         sources, target = tiny
-        counts = {}
-        _count_calls(monkeypatch, lddg.experiments, "evaluate", counts)
-        calls = _record_trains(monkeypatch, tmp_path)
+        scored = _record_calls(monkeypatch, tmp_path, "evaluate")
+        calls = _record_calls(monkeypatch, tmp_path, "train")
         ablate_components(
             replace(TINY_TRAIN, epochs=1), sources, target, seeds=(0, 1),
             cells=("none", "rank+kl"),
         )
-        assert counts["evaluate"] == len(_trained_configs(calls)) == 4
-        counts.clear()
+        assert len(scored()) == len(_trained_configs(calls)) == 4
         sweep_rank(replace(TINY_TRAIN, epochs=1), sources, target, ranks=(1, 2, 3), seeds=(0,))
-        assert counts["evaluate"] == len(_trained_configs(calls)) == 3
+        assert len(scored()) == len(_trained_configs(calls)) == 3
 
 
-def _record_trains(monkeypatch, tmp_path):
-    """Record every ``train`` call from now on, in this process and in a
-    study's forked child alike: each process appends its calls to a file
-    of its own.  The returned function gives, and forgets, the calls made
-    since it was last called, each as ``(labels, cfgs, pid, blas)``: the
-    member labels (None for a lone run), the configs trained, the process
-    and its OpenBLAS thread count (None without the symbol).  Read after
-    each study, they come in group order: this process's calls and the
-    child's interleaved, as ``_train_groups`` deals the groups out."""
-    original = lddg.experiments.train
+def _record_calls(monkeypatch, tmp_path, name):
+    """Record every call of ``lddg.experiments.<name>`` (``train`` or
+    ``evaluate``) from now on, in this process and in a study's forked
+    child alike: each process appends its calls to a file of its own.  The
+    returned function gives, and forgets, the calls made since it was last
+    called, each as ``(labels, firsts, pid, blas)``: the member labels (None
+    without a ``members`` argument), the configs trained, or for a call
+    without ``members`` its first argument alone, the process and its
+    OpenBLAS thread count (None without the symbol).  Read after each
+    study, they come in group order: this process's calls, then the
+    child's, as a study hands the second half of its groups to the child."""
+    original = getattr(lddg.experiments, name)
     blas = lddg.experiments._openblas()
 
-    def recording(cfg, data, members=None):
-        call = (None if members is None else list(members),
-                [cfg] if members is None else list(members.values()),
+    def recording(first, data, *members):
+        call = (list(members[0]) if members else None,
+                list(members[0].values()) if members else [first],
                 os.getpid(), blas and blas[0]())
-        with open(tmp_path / f"train-calls-{os.getpid()}", "ab") as fh:
+        with open(tmp_path / f"{name}-calls-{os.getpid()}", "ab") as fh:
             pickle.dump(call, fh)
-        return original(cfg, data, members)
+        return original(first, data, *members)
 
     def calls():
         ours, theirs = [], []
-        for path in tmp_path.glob("train-calls-*"):
-            side = ours if path.name == f"train-calls-{os.getpid()}" else theirs
+        for path in tmp_path.glob(f"{name}-calls-*"):
+            side = ours if path.name == f"{name}-calls-{os.getpid()}" else theirs
             with open(path, "rb") as fh, contextlib.suppress(EOFError):
                 while True:
                     side.append(pickle.load(fh))
             path.unlink()
-        return [c for pair in itertools.zip_longest(ours, theirs) for c in pair if c is not None]
+        return ours + theirs
 
-    monkeypatch.setattr(lddg.experiments, "train", recording)
+    monkeypatch.setattr(lddg.experiments, name, recording)
     return calls
 
 
@@ -477,7 +476,7 @@ class TestAblation:
 
     def test_members_train_cell_by_cell_then_seed(self, tiny, monkeypatch, tmp_path):
         sources, target = tiny
-        calls = _record_trains(monkeypatch, tmp_path)
+        calls = _record_calls(monkeypatch, tmp_path, "train")
         base = replace(TINY_TRAIN, epochs=1)
         ablate_components(base, sources, target, seeds=(3, 1), cells=("kl", "nuclear"))
         assert _trained_configs(calls) == [
@@ -587,7 +586,7 @@ class TestGroups:
 
     def test_600_row_studies_train_two_members_a_step(self, monkeypatch, tmp_path):
         sources, target = generate_synthetic(FULL_BATCH_DATA)
-        calls = _record_trains(monkeypatch, tmp_path)
+        calls = _record_calls(monkeypatch, tmp_path, "train")
         sweep_rank(replace(FULL_BATCH_TRAIN, epochs=1), sources, target,
                    ranks=(1, 2, 3), seeds=(0, 1, 2))
         labels = [f"rank {r}, seed {s}" for r in (1, 2, 3) for s in (0, 1, 2)]
@@ -663,7 +662,7 @@ def _inline(monkeypatch):
 
 
 class TestProcesses:
-    """A study's odd groups train in a forked child, with one process's results and errors."""
+    """A study's second half trains in a forked child, with one process's results and errors."""
 
     @pytest.fixture(autouse=True)
     def no_child_is_left(self):
@@ -675,12 +674,12 @@ class TestProcesses:
         sources, target = generate_synthetic(FULL_BATCH_DATA)
         get, _ = lddg.experiments._openblas()
         before = get()
-        calls = _record_trains(monkeypatch, tmp_path)
+        calls = _record_calls(monkeypatch, tmp_path, "train")
         rows = sweep_rank(FULL_BATCH_TRAIN, sources, target, ranks=(2, 4, 5), seeds=(0, 1))
         forked = calls()
         assert [labels for labels, *_ in forked] == [
             [f"rank {r}, seed {s}" for s in (0, 1)] for r in (2, 4, 5)]
-        assert [pid == os.getpid() for _, _, pid, _ in forked] == [True, False, True]
+        assert [pid == os.getpid() for _, _, pid, _ in forked] == [True, True, False]
         assert {count for *_, count in forked} == {1}
         assert get() == before
 
@@ -692,7 +691,7 @@ class TestProcesses:
     def test_members_that_fit_one_group_train_as_two(self, two_cpus, monkeypatch, tmp_path,
                                                       tiny):
         sources, target = tiny
-        calls = _record_trains(monkeypatch, tmp_path)
+        calls = _record_calls(monkeypatch, tmp_path, "train")
         study = dict(seeds=(0, 1, 2), cells=("none", "rank", "kl"))
         rows = ablate_components(replace(TINY_TRAIN, epochs=1), sources, target, **study)
         labels = [f"cell {c}, seed {s}" for c in study["cells"] for s in study["seeds"]]
@@ -705,7 +704,7 @@ class TestProcesses:
     def test_a_process_running_another_thread_trains_inline(self, two_cpus, monkeypatch,
                                                              tmp_path):
         sources, target = generate_synthetic(FULL_BATCH_DATA)
-        calls = _record_trains(monkeypatch, tmp_path)
+        calls = _record_calls(monkeypatch, tmp_path, "train")
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)
         other.start()
@@ -718,20 +717,6 @@ class TestProcesses:
         assert not other.is_alive()
         assert [(len(members), pid) for members, _, pid, _ in calls()] == [(2, os.getpid())] * 2
 
-    def test_the_childs_params_view_one_vector_per_group(self, two_cpus, monkeypatch):
-        sources, _ = generate_synthetic(FULL_BATCH_DATA)
-        groups = [{f"{g} {s}": replace(FULL_BATCH_TRAIN, seed=s, rank_target=g + 2)
-                   for s in (0, 1)} for g in range(2)]
-        forked = lddg.experiments._train_groups(FULL_BATCH_TRAIN, sources, groups)
-        _inline(monkeypatch)
-        alone = lddg.experiments._train_groups(FULL_BATCH_TRAIN, sources, groups)
-        for pairs, inline in zip(forked, alone):
-            assert len({id(a.base) for params, _ in pairs for a in params.flat()}) == 1
-            for (params, result), (want, expected) in zip(pairs, inline):
-                assert all(a.tobytes() == b.tobytes()
-                           for a, b in zip(params.flat(), want.flat()))
-                assert result.epochs == expected.epochs and result.config == expected.config
-
     def test_blas_count_is_restored_after_an_error(self, two_cpus, monkeypatch):
         sources, target = generate_synthetic(FULL_BATCH_DATA)
         counts = []
@@ -743,7 +728,7 @@ class TestProcesses:
 
     @pytest.mark.parametrize("cells", [
         ("none", "kl", "nuclear"),  # only the child's group diverges
-        ("none", "kl", "nuclear", "rank", "nuclear+kl"),  # groups 1 and 2 diverge
+        ("none", "kl", "nuclear", "rank", "nuclear+kl"),  # groups 1 and 2 (the child's) diverge
         ("nuclear", "none", "nuclear+kl", "kl"),  # groups 0 and 1 diverge
     ])
     def test_the_first_diverging_group_is_named(self, two_cpus, monkeypatch, cells):
@@ -764,7 +749,8 @@ class TestProcesses:
 
     @pytest.mark.parametrize("cells", [
         ("none", "kl", "nuclear"),  # only the child's group warns
-        ("none", "kl", "nuclear", "rank", "nuclear+kl"),  # groups 1 and 2 warn; 1 raises first
+        # groups 1 and 2 (the child's) warn; 1 raises first, so the child's are dropped
+        ("none", "kl", "nuclear", "rank", "nuclear+kl"),
     ])
     def test_numpy_warnings_are_those_of_one_process(self, two_cpus, monkeypatch, cells):
         # unsilenced, the overflow of a diverging group warns before it raises
@@ -784,10 +770,10 @@ class TestProcesses:
 
     def test_log_records_come_in_group_order(self, two_cpus, monkeypatch, tmp_path, caplog):
         # at rank target 16 every 16-wide latent batch is inert; the groups
-        # are [rank 0, 1], [rank 2, rank+kl 0] (the child's), [rank+kl 1, 2]
+        # are [rank 0, 1], [rank 2, rank+kl 0], [rank+kl 1, 2] (the child's)
         sources, target = generate_synthetic(FULL_BATCH_DATA)
         cfg = replace(FULL_BATCH_TRAIN, epochs=1, rank_target=16)
-        calls = _record_trains(monkeypatch, tmp_path)
+        calls = _record_calls(monkeypatch, tmp_path, "train")
 
         def warned():
             caplog.clear()
@@ -796,11 +782,45 @@ class TestProcesses:
             return [record.getMessage() for record in caplog.records]
 
         forked = warned()
-        assert [pid == os.getpid() for _, _, pid, _ in calls()] == [True, False, True]
+        assert [pid == os.getpid() for _, _, pid, _ in calls()] == [True, True, False]
         assert [m.split("(")[1].split(")")[0] for m in forked] == [
             f"cell {c}, seed {s}" for c in ("rank", "rank+kl") for s in (0, 1, 2)]
         _inline(monkeypatch)
         assert warned() == forked
+
+    def test_a_member_that_cannot_be_scored_stops_the_study_in_group_order(
+            self, two_cpus, monkeypatch):
+        # one step at this rate leaves the first group's logits non-finite,
+        # and group 1 (the child's) diverges in training: each group is
+        # scored before the next trains, so the scoring error comes first
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        hot = replace(FULL_BATCH_TRAIN, epochs=1, learning_rate=1e100, lambda1=1e308)
+
+        def error():
+            with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
+                ablate_components(hot, sources, target, seeds=(0,), cells=("none", "kl", "nuclear"))
+            return str(exc.value)
+
+        forked = error()
+        _inline(monkeypatch)
+        assert forked == error() == "the model's logits hold non-finite values (NaN or inf)"
+
+    def test_a_scoring_error_in_the_child_is_raised(self, two_cpus, monkeypatch):
+        sources, target = generate_synthetic(FULL_BATCH_DATA)
+        get, _ = lddg.experiments._openblas()
+        before = get()
+        parent, original = os.getpid(), lddg.experiments.evaluate
+
+        def failing(params, ds):
+            if os.getpid() != parent:
+                raise ValueError("the child's member could not be scored")
+            return original(params, ds)
+
+        monkeypatch.setattr(lddg.experiments, "evaluate", failing)
+        with pytest.raises(ValueError, match="^the child's member could not be scored$"):
+            sweep_rank(replace(FULL_BATCH_TRAIN, epochs=1), sources, target, ranks=(2, 4, 5),
+                       seeds=(0,))
+        assert get() == before
 
     def test_a_child_that_dies_is_reported(self, two_cpus, monkeypatch):
         sources, target = generate_synthetic(FULL_BATCH_DATA)
